@@ -13,8 +13,8 @@ use critmem::pool::default_jobs;
 use critmem::{AgentMix, RunStats, Session, SystemConfig};
 use critmem_bench::{black_box, Criterion};
 use critmem_common::codec::ByteWriter;
-use critmem_common::{AccessKind, ChannelId, CoreId, Criticality, MemRequest, ShardPool};
-use critmem_dram::{AddressMapping, ChannelController, DramConfig, DramSystem, Interleaving};
+use critmem_common::{AccessKind, ChannelId, CoreId, Criticality, MemRequest};
+use critmem_dram::{AddressMapping, ChannelController, DramConfig, Interleaving};
 use critmem_predict::CbpMetric;
 use critmem_sched::{FrFcfs, SchedulerKind};
 use critmem_trace::{CoreProfile, Fingerprint, ReplayConfig, TrafficProfile, CHUNK_BYTES};
@@ -251,65 +251,6 @@ fn measure_skip_ahead() -> (f64, f64) {
     (off_seconds, on_seconds)
 }
 
-/// Tick budget for the serial half of the sharded-kernel probe.
-const SHARD_SERIAL_TICKS: u64 = 1_000_000;
-
-/// Tick budget for the sharded half — smaller, because on a host
-/// without spare cores every tick pays for worker wakeups with no
-/// parallelism to offset them, and the block records rates, not
-/// totals.
-const SHARD_POOL_TICKS: u64 = 100_000;
-
-fn eight_channel_system() -> DramSystem {
-    let mut cfg = DramConfig::paper_baseline();
-    cfg.org.channels = 8;
-    DramSystem::new(cfg, |_| Box::new(FrFcfs::new()))
-}
-
-fn feed(dram: &mut DramSystem, id: u64) {
-    // Spread across rows, banks, and all eight channels so every
-    // shard's chunk stays busy.
-    let addr = (id % 192) * 4 * 1024 + (id % 16) * 64;
-    let req = MemRequest::new(id, addr, AccessKind::Read, CoreId((id % 8) as u8)).with_criticality(
-        if id.is_multiple_of(3) {
-            Criticality::ranked(id * 10)
-        } else {
-            Criticality::non_critical()
-        },
-    );
-    let _ = dram.enqueue(req);
-}
-
-/// Steady-state Mticks/s of a loaded 8-channel system under the serial
-/// tick vs the sharded tick with `shards` pool workers.
-fn measure_sharded(shards: usize) -> (f64, f64) {
-    let run = |ticks: u64, mut pool: Option<ShardPool>| {
-        let mut dram = eight_channel_system();
-        let mut next_id = 0u64;
-        for _ in 0..192 {
-            feed(&mut dram, next_id);
-            next_id += 1;
-        }
-        let t = Instant::now();
-        for _ in 0..ticks {
-            let completed = match &mut pool {
-                Some(p) => dram.tick_sharded(p).len(),
-                None => dram.tick().len(),
-            };
-            for _ in 0..completed {
-                feed(&mut dram, next_id);
-                next_id += 1;
-            }
-        }
-        let reads: u64 = dram.channel_stats().iter().map(|c| c.reads_completed).sum();
-        black_box(reads);
-        ticks as f64 / t.elapsed().as_secs_f64() / 1e6
-    };
-    let serial = run(SHARD_SERIAL_TICKS, None);
-    let sharded = run(SHARD_POOL_TICKS, Some(ShardPool::new(shards)));
-    (serial, sharded)
-}
-
 fn main() {
     // Display benches through the usual harness first.
     let mut c = Criterion::default();
@@ -366,13 +307,6 @@ fn main() {
     // granularity instead of cycle granularity through quiet windows.
     let (skip_off, skip_on) = measure_skip_ahead();
 
-    // The sharded-kernel study: the DRAM tick of one simulation split
-    // across pool workers. Worker count mirrors what a user would pick
-    // (one per CPU, at most one per channel, at least two so the
-    // barrier path is exercised even here).
-    let shard_workers = default_jobs().clamp(2, 8);
-    let (serial_mticks, sharded_mticks) = measure_sharded(shard_workers);
-
     let json = format!(
         "{{\n  \"host\": {{ \"cpus\": {cpus} }},\n  \"tick_kernel\": {{\n    \
          \"host_cpus\": {cpus},\n    \
@@ -418,23 +352,13 @@ fn main() {
          \"off_seconds\": {skip_off:.2},\n    \
          \"on_seconds\": {skip_on:.2},\n    \
          \"speedup\": {:.2},\n    \
-         \"acceptance\": \"speedup >= 3 on the DRAM-bound idle-heavy probe; stats byte-identical (asserted here and in tests/sharded_kernel.rs)\"\n  }},\n  \
-         \"sharded\": {{\n    \
-         \"workload\": \"loaded 8-channel DramSystem steady-state tick, FR-FCFS\",\n    \
-         \"host_cpus\": {cpus},\n    \
-         \"shards\": {shard_workers},\n    \
-         \"serial_mticks_per_s\": {serial_mticks:.2},\n    \
-         \"sharded_mticks_per_s\": {sharded_mticks:.2},\n    \
-         \"sharded_speedup\": {:.2},\n    \
-         \"note\": \"speedup > 1 requires host_cpus > 1; a 1-CPU host measures pure barrier overhead — output is byte-identical either way\",\n    \
-         \"acceptance\": \"sharded_speedup > 1 when host_cpus > 1\"\n  }}\n}}\n",
+         \"acceptance\": \"speedup >= 3 on the DRAM-bound idle-heavy probe; stats byte-identical (asserted here and in crates/core/tests/skip_ahead.rs)\"\n  }}\n}}\n",
         loaded / BEFORE_LOADED_MTICKS,
         idle / BEFORE_IDLE_MTICKS,
         serial / parallel,
         cells as f64,
         cold_sweep / warm_sweep,
         skip_off / skip_on,
-        sharded_mticks / serial_mticks,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
     std::fs::write(path, &json).expect("write BENCH_engine.json");

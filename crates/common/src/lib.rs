@@ -13,10 +13,7 @@
 //!   heart of the paper,
 //! * [`stats`] — counters and histograms used for the evaluation,
 //! * [`obs`] — the unified observability layer: metric registration,
-//!   epoch sampling, and JSONL/CSV time-series export,
-//! * [`pool`] — the persistent [`ShardPool`] behind the sharded
-//!   multi-channel DRAM tick: allocation-free per-round fan-out with a
-//!   cycle-barrier handoff.
+//!   epoch sampling, and JSONL/CSV time-series export.
 //!
 //! # Examples
 //!
@@ -43,7 +40,6 @@ pub mod error;
 pub mod ids;
 pub mod mem;
 pub mod obs;
-pub mod pool;
 pub mod rng;
 pub mod stats;
 
@@ -55,7 +51,6 @@ pub use error::{
 pub use ids::{BankId, ChannelId, CoreId, RankId, ThreadId};
 pub use mem::{AccessKind, Criticality, MemRequest, ReqId, RequestObserver};
 pub use obs::{MetricVisitor, Observable, Sampler, Schema, SeriesExport, SeriesSet};
-pub use pool::ShardPool;
 pub use rng::SmallRng;
 pub use stats::{Counter, Histogram, RunningMean};
 

@@ -41,10 +41,32 @@ use critmem_predict::CbpMetric;
 use critmem_sched::SchedulerKind;
 use critmem_trace::{ReplayConfig, Trace, TraceReplayer, TrafficProfile};
 
+/// Every name the figure/table runner accepts.
+const EXPERIMENTS: [&str; 18] = [
+    "config",
+    "fig1",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig10",
+    "fig11",
+    "fig12",
+    "table5",
+    "table7",
+    "naive",
+    "reset",
+    "tracesweep",
+    "all",
+];
+
 fn usage() -> ! {
     eprintln!(
         "usage: repro [--scale quick|standard|full] [--jobs N] [--journal <file> [--resume]]\n\
-         \x20            [--warm-cycles N] [--shards N] [--no-skip-ahead] [experiments...]\n\
+         \x20            [--warm-cycles N] [--no-skip-ahead] [experiments...]\n\
          \x20      repro trace capture <app> <file> [--scale ...]\n\
          \x20      repro trace replay <file> --sched <name> [--max-outstanding N]\n\
          \x20      repro trace stream <file> [--sched <name>] [--max-outstanding N] [--epoch N] [--window W]\n\
@@ -55,9 +77,9 @@ fn usage() -> ! {
          \x20      repro stats [apps...] [--sched <name>] [--pred <metric>|none] [--epoch N]\n\
          \x20                  [--format jsonl|csv] [--out <file>] [--scale ...] [--jobs N]\n\
          \x20      repro fairness [bundles...] [--format jsonl|csv] [--out <file>]\n\
-         \x20                     [--scale ...] [--jobs N] [--shards N]\n\
+         \x20                     [--scale ...] [--jobs N]\n\
          \x20      repro hetero [mixes...] [--format jsonl|csv] [--out <file>]\n\
-         \x20                   [--scale ...] [--jobs N] [--shards N]\n\
+         \x20                   [--scale ...] [--jobs N]\n\
          \x20                   (a mix is agent-grammar, e.g. ooo:mcf*2+stream:2@1.5;\n\
          \x20                    default: the three standard hetero mixes)\n\
          \x20      repro checkpoint save <app> <file> [--cycles N] [--scale ...]\n\
@@ -66,11 +88,8 @@ fn usage() -> ! {
          \x20      repro audit                       (certify auditors silent + byte-identical)\n\
          \x20      repro audit campaign              (inject every fault, require detection)\n\
          \x20      repro audit inject <spec>         (one fault, e.g. corrupt-sched@ch0,c5000)\n\
-         experiments: config fig1 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 \
-         table5 table7 naive reset tracesweep all\n\
+         experiments: {}\n\
          --jobs N: simulation worker threads (default: available cores; 1 = serial)\n\
-         --shards N: worker threads per simulation's DRAM tick (default 1; results are\n\
-         \x20           byte-identical at any value — this only changes wall clock)\n\
          --no-skip-ahead: disable event-driven clock skip-ahead (same results, slower)\n\
          --audit: attach the independent protocol/conservation auditors to every run\n\
          \x20        (results stay byte-identical; violations exit 4)\n\
@@ -79,7 +98,8 @@ fn usage() -> ! {
          --warm-cycles N: share one baseline warmup checkpoint (snapshotted at cycle N)\n\
          \x20                across every non-sampling sweep cell\n\
          exit codes: 0 ok, 2 configuration error, 3 watchdog (livelocked run),\n\
-         \x20           4 audit violation, 1 other failure"
+         \x20           4 audit violation, 1 other failure",
+        EXPERIMENTS.join(" ")
     );
     std::process::exit(2);
 }
@@ -92,12 +112,11 @@ fn fail(err: SimError) -> ! {
 }
 
 /// The engine-level knobs shared by every subcommand: sweep-level
-/// worker threads, per-simulation DRAM-tick shards, and skip-ahead.
-/// None of them change results; all of them change wall clock.
+/// worker threads, skip-ahead and auditing. None of them change
+/// results.
 #[derive(Clone, Copy)]
 struct EngineKnobs {
     jobs: usize,
-    shards: usize,
     skip_ahead: bool,
     audit: bool,
 }
@@ -105,7 +124,6 @@ struct EngineKnobs {
 impl EngineKnobs {
     fn apply(self, r: &mut Runner) {
         r.jobs = self.jobs;
-        r.shards = self.shards;
         r.skip_ahead = self.skip_ahead;
         r.audit = self.audit;
     }
@@ -373,7 +391,6 @@ fn print_replay_summary(stats: &critmem_trace::ReplayStats) {
 fn checkpoint_cfg(scale: &Scale, knobs: EngineKnobs) -> SystemConfig {
     let mut cfg = SystemConfig::paper_baseline(scale.instructions);
     cfg.max_cycles = scale.instructions.saturating_mul(20_000).max(1_000_000_000);
-    cfg.shards = knobs.shards;
     cfg.skip_ahead = knobs.skip_ahead;
     cfg.audit = knobs.audit;
     cfg
@@ -774,7 +791,6 @@ fn main() {
     let mut args = std::env::args().skip(1).peekable();
     let mut scale = Scale::standard();
     let mut jobs = critmem::pool::default_jobs();
-    let mut shards = 1usize;
     let mut skip_ahead = true;
     let mut audit = false;
     let mut journal_path: Option<String> = None;
@@ -797,10 +813,6 @@ fn main() {
                 Some(n) if n >= 1 => jobs = n,
                 _ => usage(),
             },
-            "--shards" => match args.next().and_then(|s| s.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => shards = n,
-                _ => usage(),
-            },
             "--no-skip-ahead" => skip_ahead = false,
             "--audit" => audit = true,
             "--journal" => match args.next() {
@@ -818,7 +830,6 @@ fn main() {
     }
     let knobs = EngineKnobs {
         jobs,
-        shards,
         skip_ahead,
         audit,
     };
@@ -839,6 +850,10 @@ fn main() {
     }
     if selected.first().map(String::as_str) == Some("hetero") {
         hetero_main(selected.split_off(1), scale, knobs);
+    }
+    if let Some(bad) = selected.iter().find(|s| !EXPERIMENTS.contains(&s.as_str())) {
+        eprintln!("unknown experiment or option: {bad}");
+        usage();
     }
     if selected.is_empty() {
         selected.push("all".to_string());

@@ -487,12 +487,11 @@ pub struct SystemConfig {
     /// [`critmem_common::WatchdogConfig::disabled`] to turn the checks
     /// off entirely.
     pub watchdog: critmem_common::WatchdogConfig,
-    /// Worker threads for the sharded DRAM tick. `1` (the default)
-    /// keeps the tick serial; values above one partition the channels
-    /// across a scoped worker pool with a cycle barrier at the
-    /// L2↔controller boundary. Output is byte-identical at any shard
-    /// count — this is purely a wall-clock knob, so it is deliberately
-    /// excluded from checkpoint fingerprints and sweep memo keys.
+    /// Must be `1`: the DRAM tick is serial. The sharded tick this
+    /// field once sized was removed because it ran slower than serial;
+    /// [`SystemConfig::validate`] rejects any other value. The field
+    /// itself is removed in the next change to the benchmark directory,
+    /// which still reads it.
     pub shards: usize,
     /// Event-driven skip-ahead: when every component reports a quiet
     /// window, batch-advance the clock to the next event horizon
@@ -504,8 +503,7 @@ pub struct SystemConfig {
     /// every DRAM channel and a request-conservation auditor to the
     /// L2↔controller boundary. Audited runs are byte-identical in
     /// exported statistics to unaudited ones — the auditors only watch —
-    /// so, like [`SystemConfig::shards`] and
-    /// [`SystemConfig::skip_ahead`], this knob is excluded from
+    /// so, like [`SystemConfig::skip_ahead`], this knob is excluded from
     /// checkpoint fingerprints and sweep memo keys. A violation
     /// surfaces as a typed [`critmem_common::SimError::AuditViolation`].
     pub audit: bool,
@@ -577,15 +575,6 @@ impl SystemConfig {
         self
     }
 
-    /// Sets the DRAM-tick shard count (builder style). The effective
-    /// worker count is clamped to the channel count at system build
-    /// time, so oversizing is harmless.
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
     /// Enables the independent run auditors (builder style).
     #[must_use]
     pub fn with_audit(mut self) -> Self {
@@ -623,8 +612,11 @@ impl SystemConfig {
         if self.watchdog.enabled() && self.watchdog.check_interval == 0 {
             return Err("watchdog check interval must be nonzero".into());
         }
-        if self.shards == 0 {
-            return Err("shard count must be nonzero (1 = serial tick)".into());
+        if self.shards != 1 {
+            return Err(format!(
+                "shard count must be 1, got {}: the sharded DRAM tick was removed",
+                self.shards
+            ));
         }
         Ok(())
     }
@@ -652,13 +644,16 @@ mod tests {
     }
 
     #[test]
-    fn validation_rejects_zero_shards() {
-        let mut c = SystemConfig::paper_baseline(1000);
+    fn validation_rejects_any_shard_count_but_one() {
+        let c = SystemConfig::paper_baseline(1000);
         assert_eq!(c.shards, 1, "default tick is serial");
         assert!(c.skip_ahead, "skip-ahead is on by default");
-        c.shards = 0;
-        assert!(c.validate().is_err());
-        assert!(SystemConfig::paper_baseline(1000).with_shards(4).shards == 4);
+        for shards in [0, 2] {
+            let mut bad = c.clone();
+            bad.shards = shards;
+            let err = bad.validate().unwrap_err();
+            assert!(err.contains("sharded DRAM tick was removed"), "{err}");
+        }
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! Results export through [`SeriesExport`] (DESIGN.md §6e): one run
 //! per scheduler, one sample row per bundle (the `cycle` column holds
 //! the bundle index), three gauge columns. The export is assembled
-//! from label-sorted runs, so it is byte-identical for any `--jobs` or
-//! `--shards` value.
+//! from label-sorted runs, so it is byte-identical for any `--jobs`
+//! value.
 
 use crate::config::{AgentMix, PredictorKind, SystemConfig};
 use crate::experiments::harness::{Runner, TextTable};
@@ -152,7 +152,6 @@ fn multiprog_cfg(r: &Runner) -> SystemConfig {
         .instructions
         .saturating_mul(40_000)
         .max(1_000_000_000);
-    cfg.shards = r.shards;
     cfg.skip_ahead = r.skip_ahead;
     cfg
 }

@@ -124,12 +124,9 @@ pub struct Runner {
     /// Worker threads for [`Runner::run_parallel`]; `1` means fully
     /// serial (plan/execute is bypassed entirely).
     pub jobs: usize,
-    /// Shard count for every simulation's DRAM tick
-    /// ([`SystemConfig::shards`]). Results are byte-identical at any
-    /// value, so the memo keys deliberately do not encode it.
-    pub shards: usize,
-    /// Event-driven skip-ahead ([`SystemConfig::skip_ahead`]); also
-    /// identical-by-construction and therefore absent from memo keys.
+    /// Event-driven skip-ahead ([`SystemConfig::skip_ahead`]). Results
+    /// are identical by construction, so the memo keys deliberately do
+    /// not encode it.
     pub skip_ahead: bool,
     /// Independent run auditors ([`SystemConfig::audit`]) on every
     /// simulation. Audited runs are byte-identical in exported
@@ -170,7 +167,6 @@ impl Runner {
             scale,
             verbose: false,
             jobs: 1,
-            shards: 1,
             skip_ahead: true,
             audit: false,
             warm_cycles: None,
@@ -782,7 +778,6 @@ impl Runner {
             .instructions
             .saturating_mul(20_000)
             .max(1_000_000_000);
-        cfg.shards = self.shards;
         cfg.skip_ahead = self.skip_ahead;
         cfg.audit = self.audit;
         cfg

@@ -16,8 +16,7 @@
 //! Results export through [`SeriesExport`] exactly like the fairness
 //! frontier: one run per scheduler, one sample row per mix (the `cycle`
 //! column holds the mix index), so the serialized bytes are identical
-//! for any `--jobs`, `--shards`, `--no-skip-ahead`, or `--audit`
-//! setting.
+//! for any `--jobs`, `--no-skip-ahead`, or `--audit` setting.
 
 use crate::config::{AgentMix, SystemConfig};
 use crate::experiments::fairness::{alone_ipc, frontier_schedulers};
@@ -150,7 +149,6 @@ fn hetero_cfg(r: &Runner, cores: usize) -> SystemConfig {
         .saturating_mul(40_000)
         .max(1_000_000_000);
     cfg.watchdog.max_request_age = 2_000_000;
-    cfg.shards = r.shards;
     cfg.skip_ahead = r.skip_ahead;
     cfg.audit = r.audit;
     cfg

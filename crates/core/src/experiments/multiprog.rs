@@ -100,7 +100,6 @@ fn multiprog_cfg(r: &Runner) -> SystemConfig {
         .instructions
         .saturating_mul(40_000)
         .max(1_000_000_000);
-    cfg.shards = r.shards;
     cfg.skip_ahead = r.skip_ahead;
     cfg
 }

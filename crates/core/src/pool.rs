@@ -19,12 +19,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// The persistent barrier pool behind the sharded DRAM tick
-/// ([`critmem_dram::DramSystem::tick_sharded`]) — re-exported here so
-/// both parallelism layers (sweep-level `scoped_map*`, tick-level
-/// sharding) are reachable from one module.
-pub use critmem_common::ShardPool;
-
 /// How many times [`scoped_map_isolated`] attempts a cell before
 /// reporting its panic (1 initial run + 1 retry).
 pub const MAX_ATTEMPTS: u32 = 2;

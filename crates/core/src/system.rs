@@ -9,7 +9,7 @@ use critmem_cache::CacheHierarchy;
 use critmem_common::codec::{ByteReader, ByteWriter, CodecError};
 use critmem_common::{
     AccessKind, BankId, ClockDivider, CoreId, CpuCycle, Criticality, MemRequest, MetricVisitor,
-    Observable, RankId, RequestObserver, Sampler, Schema, SeriesSet, ShardPool, SimError, Snapshot,
+    Observable, RankId, RequestObserver, Sampler, Schema, SeriesSet, SimError, Snapshot,
     WatchdogReason, WatchdogSnapshot,
 };
 use critmem_cpu::{
@@ -304,10 +304,6 @@ pub struct System<O: RequestObserver = ()> {
     /// always a prefix.
     forwards: VecDeque<ForwardMsg>,
     sampler: Option<Sampler>,
-    /// Worker pool for the sharded DRAM tick; `None` runs the channels
-    /// serially. Purely a wall-clock accelerator — never serialized,
-    /// never observable in results.
-    shard_pool: Option<ShardPool>,
     /// Request-conservation auditor at the L2↔controller boundary;
     /// `Some` exactly when [`SystemConfig::audit`] is set (the DRAM
     /// protocol auditors are enabled alongside it).
@@ -582,11 +578,6 @@ impl<O: RequestObserver> System<O> {
                 Schema::build(|v| observe_components(&cores, &agents, &hierarchy, &dram, v));
             Sampler::new(schema, epoch)
         });
-        // A pool with one worker per shard, clamped so no worker can
-        // ever be left without a channel chunk to tick.
-        let channels = cfg.dram.org.channels as usize;
-        let shard_pool = (cfg.shards > 1 && channels > 1)
-            .then(|| ShardPool::new(cfg.shards.min(channels).min(critmem_dram::MAX_TICK_SHARDS)));
         Ok(System {
             hierarchy,
             dram,
@@ -596,7 +587,6 @@ impl<O: RequestObserver> System<O> {
             lq_full_cycles: vec![0; cfg.cores],
             forwards: VecDeque::new(),
             sampler,
-            shard_pool,
             conservation,
             faults: None,
             cores,
@@ -687,18 +677,26 @@ impl<O: RequestObserver> System<O> {
                 Err(back) => f.dup_pending = Some(back),
             }
         }
-        if let Some((req, release_at)) = f.delayed {
-            if release_at <= now {
-                // Queue full leaves `f.delayed` set: retry next cycle.
-                if self.dram.enqueue(req).is_ok() {
-                    f.delayed = None;
-                    if let Some(a) = &mut self.conservation {
-                        a.on_enqueue(req.id, now);
-                    }
-                    self.observer.on_enqueue(now, &req);
-                }
+        if let Some((req, _)) = f.delayed.filter(|&(_, at)| at <= now) {
+            // Queue full leaves `delayed` set: retry next cycle.
+            if self.admit(req, now).is_ok() {
+                self.faults.as_deref_mut().expect("armed above").delayed = None;
             }
         }
+    }
+
+    /// Enqueues `req` at the controller boundary and, once accepted,
+    /// reports it to the conservation auditor and then the observer,
+    /// stamped with the cycle of successful enqueue. Every producer's
+    /// requests enter DRAM here; a full transaction queue hands the
+    /// request back for the caller to retry.
+    fn admit(&mut self, req: MemRequest, now: CpuCycle) -> Result<(), MemRequest> {
+        self.dram.enqueue(req)?;
+        if let Some(a) = &mut self.conservation {
+            a.on_enqueue(req.id, now);
+        }
+        self.observer.on_enqueue(now, &req);
+        Ok(())
     }
 
     /// Intercepts one popped request under the armed fault plan.
@@ -797,17 +795,9 @@ impl<O: RequestObserver> System<O> {
             if self.faults.is_some() && self.fault_intercept(req, now) {
                 continue;
             }
-            match self.dram.enqueue(req) {
-                Ok(()) => {
-                    if let Some(a) = &mut self.conservation {
-                        a.on_enqueue(req.id, now);
-                    }
-                    self.observer.on_enqueue(now, &req);
-                }
-                Err(back) => {
-                    self.hierarchy.unpop_request(back);
-                    break;
-                }
+            if let Err(back) = self.admit(req, now) {
+                self.hierarchy.unpop_request(back);
+                break;
             }
         }
         // 3b. Heterogeneous agents inject their traffic directly at the
@@ -817,15 +807,9 @@ impl<O: RequestObserver> System<O> {
         if !self.agents.is_empty() {
             self.agent_step(now);
         }
-        // 4. DRAM bus clock. With a shard pool the channels tick on
-        // worker threads behind a cycle barrier; the merged completion
-        // list is identical to the serial tick either way.
+        // 4. DRAM bus clock.
         if self.divider.tick() {
-            let completions = match &mut self.shard_pool {
-                Some(pool) => self.dram.tick_sharded(pool),
-                None => self.dram.tick(),
-            };
-            for done in completions {
+            for done in self.dram.tick() {
                 if let Some(a) = &mut self.conservation {
                     a.on_complete(done.req.id, now);
                 }
@@ -862,16 +846,10 @@ impl<O: RequestObserver> System<O> {
     /// discipline the cache outbox gets from `unpop_request`.
     fn agent_step(&mut self, now: CpuCycle) {
         while let Some(req) = self.agent_pending.front().copied() {
-            match self.dram.enqueue(req) {
-                Ok(()) => {
-                    self.agent_pending.pop_front();
-                    if let Some(a) = &mut self.conservation {
-                        a.on_enqueue(req.id, now);
-                    }
-                    self.observer.on_enqueue(now, &req);
-                }
-                Err(_) => break,
+            if self.admit(req, now).is_err() {
+                break;
             }
+            self.agent_pending.pop_front();
         }
         let n = self.agents.len();
         let start = (now as usize) % n;
@@ -887,14 +865,8 @@ impl<O: RequestObserver> System<O> {
                     self.agent_pending.push_back(req);
                     continue;
                 }
-                match self.dram.enqueue(req) {
-                    Ok(()) => {
-                        if let Some(a) = &mut self.conservation {
-                            a.on_enqueue(req.id, now);
-                        }
-                        self.observer.on_enqueue(now, &req);
-                    }
-                    Err(back) => self.agent_pending.push_back(back),
+                if let Err(back) = self.admit(req, now) {
+                    self.agent_pending.push_back(back);
                 }
             }
         }
@@ -1690,13 +1662,6 @@ mod tests {
             bytes(run(serial, &mix)),
             reference,
             "--no-skip-ahead must not perturb a hetero run"
-        );
-        let mut sharded = base();
-        sharded.shards = 2;
-        assert_eq!(
-            bytes(run(sharded, &mix)),
-            reference,
-            "--shards must not perturb a hetero run"
         );
         let audited = Session::new(base(), &mix)
             .audit(true)

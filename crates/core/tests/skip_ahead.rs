@@ -1,6 +1,6 @@
-//! Output-identity suite for the sharded multi-channel kernel and the
-//! event-driven skip-ahead: every acceleration mode must produce
-//! results byte-identical (via [`RunStats::encode`]) to plain serial
+//! Output-identity suite for the event-driven skip-ahead: a run that
+//! batch-advances through quiet windows must produce results
+//! byte-identical (via [`RunStats::encode`]) to plain cycle-by-cycle
 //! stepping, across schedulers, predictors, sampling, trace capture,
 //! and checkpoint restore.
 
@@ -9,8 +9,7 @@ use critmem_common::codec::ByteWriter;
 use critmem_predict::CbpMetric;
 use critmem_sched::{MorseConfig, SchedulerKind, TcmTiebreak};
 
-/// A small two-core platform on the paper's quad-channel DRAM (the
-/// channel count is what the sharded tick partitions).
+/// A small two-core platform on the paper's quad-channel DRAM.
 fn base_cfg(instr: u64) -> SystemConfig {
     let mut c = SystemConfig::paper_baseline(instr);
     c.cores = 2;
@@ -19,9 +18,8 @@ fn base_cfg(instr: u64) -> SystemConfig {
     c
 }
 
-fn with_kernel(cfg: &SystemConfig, shards: usize, skip_ahead: bool) -> SystemConfig {
+fn with_kernel(cfg: &SystemConfig, skip_ahead: bool) -> SystemConfig {
     let mut c = cfg.clone();
-    c.shards = shards;
     c.skip_ahead = skip_ahead;
     c
 }
@@ -39,7 +37,7 @@ fn bytes(stats: &RunStats) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Serial reference vs the fully accelerated kernel, one pass per
+/// Serial reference vs the skip-ahead kernel, one pass per
 /// scheduler the repo implements (Wedged excluded: it livelocks by
 /// design).
 #[test]
@@ -66,8 +64,8 @@ fn every_scheduler_is_identical_under_the_accelerated_kernel() {
         let cfg = base_cfg(600)
             .with_scheduler(sched)
             .with_predictor(PredictorKind::cbp64(CbpMetric::MaxStallTime));
-        let reference = bytes(&run(with_kernel(&cfg, 1, false), &wl));
-        let accel = bytes(&run(with_kernel(&cfg, 2, true), &wl));
+        let reference = bytes(&run(with_kernel(&cfg, false), &wl));
+        let accel = bytes(&run(with_kernel(&cfg, true), &wl));
         assert_eq!(accel, reference, "{} diverged", sched.name());
     }
 }
@@ -92,15 +90,14 @@ fn every_cbp_metric_is_identical_under_the_accelerated_kernel() {
                 size: critmem_predict::TableSize::Entries(64),
                 reset_interval: Some(10_000),
             });
-        let reference = bytes(&run(with_kernel(&cfg, 1, false), &wl));
-        let accel = bytes(&run(with_kernel(&cfg, 2, true), &wl));
+        let reference = bytes(&run(with_kernel(&cfg, false), &wl));
+        let accel = bytes(&run(with_kernel(&cfg, true), &wl));
         assert_eq!(accel, reference, "{} diverged", metric.name());
     }
 }
 
-/// The full mode matrix on the flagship configuration (criticality
-/// scheduling + naive forwarding + time-series sampling), including an
-/// oversized shard count that must clamp to the channel count.
+/// The flagship configuration (criticality scheduling + naive
+/// forwarding + time-series sampling).
 #[test]
 fn all_modes_identical_with_forwarding_and_sampling() {
     let mut cfg = base_cfg(1_500)
@@ -108,16 +105,9 @@ fn all_modes_identical_with_forwarding_and_sampling() {
         .with_sampling(7_500);
     cfg.naive_forwarding = true;
     let wl = AgentMix::Parallel("art");
-    let reference = bytes(&run(with_kernel(&cfg, 1, false), &wl));
-    for (name, shards, skip) in [
-        ("skip-ahead", 1, true),
-        ("shards=2", 2, false),
-        ("shards=2+skip", 2, true),
-        ("shards=64 (clamped)", 64, true),
-    ] {
-        let got = bytes(&run(with_kernel(&cfg, shards, skip), &wl));
-        assert_eq!(got, reference, "{name} diverged");
-    }
+    let reference = bytes(&run(with_kernel(&cfg, false), &wl));
+    let got = bytes(&run(with_kernel(&cfg, true), &wl));
+    assert_eq!(got, reference, "skip-ahead diverged");
 }
 
 /// Trace capture must record the exact same request stream whichever
@@ -134,25 +124,24 @@ fn trace_capture_is_identical_under_the_accelerated_kernel() {
             .observer
             .into_trace()
     };
-    let reference = capture(with_kernel(&cfg, 1, false));
+    let reference = capture(with_kernel(&cfg, false));
     assert!(!reference.records.is_empty(), "swim must miss the L2");
-    assert_eq!(capture(with_kernel(&cfg, 2, true)), reference);
+    assert_eq!(capture(with_kernel(&cfg, true)), reference);
 }
 
 /// A checkpoint written by the serial kernel must restore under the
-/// accelerated kernel (the shard pool and skip flag are engine knobs,
-/// not platform state) and still finish byte-identical to an unbroken
-/// serial run.
+/// skip-ahead kernel (the skip flag is an engine knob, not platform
+/// state) and still finish byte-identical to an unbroken serial run.
 #[test]
 fn checkpoint_restore_mid_run_is_identical() {
     let cfg = base_cfg(1_200).with_scheduler(SchedulerKind::CasRasCrit);
     let wl = AgentMix::Parallel("swim");
-    let reference = bytes(&run(with_kernel(&cfg, 1, false), &wl));
-    let ckpt = Session::new(with_kernel(&cfg, 1, false), &wl)
+    let reference = bytes(&run(with_kernel(&cfg, false), &wl));
+    let ckpt = Session::new(with_kernel(&cfg, false), &wl)
         .checkpoint_at(5_000)
         .run_to_checkpoint()
         .unwrap_or_else(|e| panic!("{e}"));
-    let resumed = Session::from_checkpoint(&ckpt, with_kernel(&cfg, 2, true), &wl)
+    let resumed = Session::from_checkpoint(&ckpt, with_kernel(&cfg, true), &wl)
         .run()
         .unwrap_or_else(|e| panic!("{e}"))
         .stats;

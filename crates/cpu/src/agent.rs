@@ -5,10 +5,12 @@
 //! to processor-side criticality annotation when latency-critical cores
 //! share memory channels with bandwidth-hungry accelerator-class
 //! producers — GPU-like streamers, PIM-style bulk engines, and
-//! prefetch-dominated front-ends. [`MemoryAgent`] is the common surface
-//! all of them (including `Core`) present to the system model: a
-//! classed, QoS-budgeted request producer with deterministic state
-//! capture and a skip-ahead quiescence contract.
+//! prefetch-dominated front-ends. [`MemoryAgent`] is the surface those
+//! non-core producers present to the system model: a classed,
+//! QoS-budgeted request producer with deterministic state capture and
+//! a skip-ahead quiescence contract. Cores are not agents: their
+//! requests reach memory through the cache hierarchy, and the system
+//! drives them directly.
 //!
 //! The concrete non-core agents live in `critmem_workloads::agents`;
 //! this module owns the trait, the [`AgentClass`] taxonomy, and the
@@ -294,64 +296,6 @@ pub fn encode_agent_class(class: AgentClass, w: &mut ByteWriter) {
 pub fn decode_agent_class(r: &mut ByteReader<'_>) -> Result<AgentClass, CodecError> {
     let at = r.position();
     AgentClass::from_tag(r.get_u8()?, at)
-}
-
-impl MemoryAgent for crate::Core {
-    /// An out-of-order core is the original memory agent. Its requests
-    /// flow through the cache hierarchy rather than
-    /// [`MemoryAgent::generate`], so the generation and completion
-    /// hooks are deliberately inert — the trait impl exists so the
-    /// class/QoS/progress surface is uniform across every producer.
-    fn class(&self) -> AgentClass {
-        AgentClass::Ooo
-    }
-
-    fn qos_millis(&self) -> u32 {
-        self.qos_budget_millis()
-    }
-
-    fn generate(&mut self, _now: CpuCycle, _out: &mut Vec<MemRequest>) {}
-
-    fn complete(&mut self, _req: &MemRequest, _now: CpuCycle) {}
-
-    fn units_done(&self) -> u64 {
-        self.stats().committed
-    }
-
-    fn finished(&self) -> bool {
-        self.done()
-    }
-
-    fn finish_cycle(&self) -> Option<CpuCycle> {
-        None // the system, not the core, tracks per-core finish cycles
-    }
-
-    fn quiescent_until(&self, now: CpuCycle) -> CpuCycle {
-        crate::Core::quiescent_until(self, now)
-    }
-
-    fn stats(&self) -> AgentStats {
-        let s = crate::Core::stats(self);
-        AgentStats {
-            reads: s.issued_loads,
-            writes: s.stores,
-            prefetches: 0,
-            completed: s.issued_loads,
-            units_done: s.committed,
-            units_target: 0,
-            latency_sum: 0,
-            finish: 0,
-            qos_millis: self.qos_budget_millis(),
-        }
-    }
-
-    fn save_state(&self, w: &mut ByteWriter) {
-        crate::Core::save_state(self, w);
-    }
-
-    fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        crate::Core::load_state(self, r, true)
-    }
 }
 
 #[cfg(test)]

@@ -65,13 +65,7 @@ pub struct DramSystem {
     cfg: DramConfig,
     /// Completion buffer reused across ticks (returned by slice).
     completions: Vec<CompletedTxn>,
-    /// Per-shard completion buffers reused across sharded ticks.
-    shard_bufs: Vec<Vec<CompletedTxn>>,
 }
-
-/// Upper bound on shards a single [`DramSystem::tick_sharded`] call
-/// fans out to (the per-shard work slots live on the stack).
-pub const MAX_TICK_SHARDS: usize = 16;
 
 impl std::fmt::Debug for DramSystem {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -106,7 +100,6 @@ impl DramSystem {
             mapping,
             cfg,
             completions: Vec::new(),
-            shard_bufs: Vec::new(),
         }
     }
 
@@ -167,60 +160,6 @@ impl DramSystem {
         self.completions.clear();
         for c in &mut self.controllers {
             c.tick_into(&mut self.completions);
-        }
-        &self.completions
-    }
-
-    /// Advances every channel one DRAM cycle with the channels
-    /// partitioned across the shard pool's workers; byte-identical to
-    /// [`DramSystem::tick`] at any shard count.
-    ///
-    /// Channels are split into contiguous chunks, one per shard; each
-    /// worker ticks its chunk into a private completion buffer, and
-    /// after the pool's cycle barrier the buffers are concatenated in
-    /// shard (= channel) order, reproducing the serial tick's
-    /// completion order exactly. Like the serial tick, the steady-state
-    /// path performs no heap allocation: the work slots live on the
-    /// stack and every buffer is reused across calls.
-    pub fn tick_sharded(&mut self, pool: &mut critmem_common::ShardPool) -> &[CompletedTxn] {
-        let shards = pool
-            .shards()
-            .min(self.controllers.len())
-            .min(MAX_TICK_SHARDS);
-        if shards <= 1 {
-            return self.tick();
-        }
-        self.completions.clear();
-        self.shard_bufs.resize_with(shards, Vec::new);
-        let per = self.controllers.len().div_ceil(shards);
-        type Slot<'a> = std::sync::Mutex<(&'a mut [ChannelController], &'a mut Vec<CompletedTxn>)>;
-        let mut slots: [Option<Slot<'_>>; MAX_TICK_SHARDS] = std::array::from_fn(|_| None);
-        let mut ctls = self.controllers.as_mut_slice();
-        let mut bufs = self.shard_bufs.as_mut_slice();
-        for slot in slots.iter_mut().take(shards) {
-            let (chunk, rest) = ctls.split_at_mut(per.min(ctls.len()));
-            let (buf, rest_bufs) = bufs.split_first_mut().expect("buffer per shard");
-            *slot = Some(std::sync::Mutex::new((chunk, buf)));
-            ctls = rest;
-            bufs = rest_bufs;
-        }
-        pool.run(&|shard| {
-            // Workers beyond the channel count have nothing to do, and
-            // each live shard's slot is touched by exactly one worker
-            // (the lock is uncontended — it only exists to move `&mut`
-            // chunks across the closure's shared borrow).
-            let Some(slot) = slots.get(shard).and_then(|s| s.as_ref()) else {
-                return;
-            };
-            let mut held = slot.lock().expect("shard slot poisoned");
-            let (chunk, buf) = &mut *held;
-            buf.clear();
-            for c in chunk.iter_mut() {
-                c.tick_into(buf);
-            }
-        });
-        for buf in &mut self.shard_bufs[..shards] {
-            self.completions.append(buf);
         }
         &self.completions
     }

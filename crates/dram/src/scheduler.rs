@@ -47,11 +47,7 @@ pub struct SchedContext<'a> {
 /// Implementations must be deterministic given their construction
 /// parameters (seeded RNG where randomness is part of the algorithm,
 /// e.g. TCM's rank shuffling) so that experiments are reproducible.
-///
-/// The `Send` bound lets a channel controller (which owns its scheduler
-/// box) migrate to a shard-pool worker for the sharded multi-channel
-/// tick; schedulers are still only ever *used* by one thread at a time.
-pub trait CommandScheduler: Send {
+pub trait CommandScheduler {
     /// Chooses one of `candidates` (by index) to issue this cycle, or
     /// `None` to idle. All candidates are timing-ready; returning an
     /// out-of-range index is a logic error and panics in the

@@ -53,19 +53,15 @@ echo "== parallel engine smoke test (--jobs 2 must match serial output)"
 ./target/release/repro --scale quick --jobs 2 fig10 > "$tmp/fig10.jobs2" 2>/dev/null
 diff "$tmp/fig10.serial" "$tmp/fig10.jobs2"
 
-echo "== sharded kernel smoke test (--shards 2 / --no-skip-ahead match serial)"
-# Per-tick channel sharding and event-driven skip-ahead change
-# wall-clock time only; figure output must be byte-identical.
-./target/release/repro --scale quick --jobs 1 --shards 2 fig10 > "$tmp/fig10.shards2" 2>/dev/null
-diff "$tmp/fig10.serial" "$tmp/fig10.shards2"
+echo "== skip-ahead smoke test (--no-skip-ahead must match serial output)"
+# Event-driven skip-ahead changes wall-clock time only; figure output
+# must be byte-identical.
 ./target/release/repro --scale quick --jobs 1 --no-skip-ahead fig10 > "$tmp/fig10.noskip" 2>/dev/null
 diff "$tmp/fig10.serial" "$tmp/fig10.noskip"
-# The recorded bench blocks must exist with their acceptance lines
+# The recorded bench block must exist with its acceptance line
 # (regenerate with `cargo bench --bench engine`).
 grep -q '"skip_ahead"' BENCH_engine.json
-grep -q '"sharded"' BENCH_engine.json
-grep -q '"acceptance": "speedup >= 3 on the DRAM-bound idle-heavy probe; stats byte-identical (asserted here and in tests/sharded_kernel.rs)"' BENCH_engine.json
-grep -q '"acceptance": "sharded_speedup > 1 when host_cpus > 1"' BENCH_engine.json
+grep -q '"acceptance": "speedup >= 3 on the DRAM-bound idle-heavy probe; stats byte-identical (asserted here and in crates/core/tests/skip_ahead.rs)"' BENCH_engine.json
 
 echo "== checkpoint warm-start smoke test"
 # Round-trip a CMCK artifact through the CLI, then check that a
@@ -86,7 +82,7 @@ head -c 120 "$tmp/stats.serial" | grep -q '"type":"export"'
 echo "== fairness frontier smoke test (table + export, deterministic)"
 # One bundle through the scheduler zoo: the table must list BLISS and
 # MetaSwitch, the JSONL export block must follow, and stdout must be
-# byte-identical across --jobs, --shards, and --no-skip-ahead.
+# byte-identical across --jobs and --no-skip-ahead.
 ./target/release/repro --scale quick --jobs 1 fairness AELV > "$tmp/fair.serial" 2>/dev/null
 grep -q 'Performance-fairness frontier' "$tmp/fair.serial"
 grep -q '^BLISS ' "$tmp/fair.serial"
@@ -94,8 +90,6 @@ grep -q '^MetaSwitch ' "$tmp/fair.serial"
 grep -q '"type":"export"' "$tmp/fair.serial"
 ./target/release/repro --scale quick --jobs 2 fairness AELV > "$tmp/fair.jobs2" 2>/dev/null
 diff "$tmp/fair.serial" "$tmp/fair.jobs2"
-./target/release/repro --scale quick --jobs 1 --shards 2 fairness AELV > "$tmp/fair.shards2" 2>/dev/null
-diff "$tmp/fair.serial" "$tmp/fair.shards2"
 ./target/release/repro --scale quick --jobs 1 --no-skip-ahead fairness AELV > "$tmp/fair.noskip" 2>/dev/null
 diff "$tmp/fair.serial" "$tmp/fair.noskip"
 

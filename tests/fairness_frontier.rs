@@ -1,9 +1,9 @@
 //! End-to-end contract of the scheduler-zoo additions (BLISS and the
 //! MetaSwitch meta-scheduler): mode switches really happen under
 //! multiprogrammed load, checkpoint round-trips are bit-exact across a
-//! mid-run mode switch, results are byte-identical under per-tick
-//! sharding and skip-ahead, and BLISS bounds the maximum slowdown
-//! where the criticality-first Crit-CASRAS ordering does not.
+//! mid-run mode switch, results are byte-identical under skip-ahead,
+//! and BLISS bounds the maximum slowdown where the criticality-first
+//! Crit-CASRAS ordering does not.
 
 use critmem::config::{AgentMix, PredictorKind, SystemConfig};
 use critmem::metrics::{max_slowdown, weighted_speedup};
@@ -129,11 +129,11 @@ fn checkpoint_round_trip_is_bit_exact_across_a_mode_switch() {
     );
 }
 
-/// Per-tick channel sharding and event-driven skip-ahead change wall
-/// clock only: the BLISS clearing boundary and the MetaSwitch switch
-/// schedule must land on identical cycles either way.
+/// Event-driven skip-ahead changes wall clock only: the BLISS clearing
+/// boundary and the MetaSwitch switch schedule must land on identical
+/// cycles either way.
 #[test]
-fn sharding_and_skip_ahead_leave_results_byte_identical() {
+fn skip_ahead_leaves_results_byte_identical() {
     for sched in [
         SchedulerKind::Bliss(BlissConfig::DEFAULT),
         SchedulerKind::DEFAULT_META,
@@ -142,14 +142,6 @@ fn sharding_and_skip_ahead_leave_results_byte_identical() {
             .with_scheduler(sched)
             .with_predictor(PredictorKind::cbp64(CbpMetric::MaxStallTime));
         let reference = encode(&bundle_stats(base.clone()));
-        let mut sharded = base.clone();
-        sharded.shards = 2;
-        assert_eq!(
-            reference,
-            encode(&bundle_stats(sharded)),
-            "{}: --shards 2 diverged",
-            sched.name()
-        );
         let mut no_skip = base.clone();
         no_skip.skip_ahead = false;
         assert_eq!(
