@@ -232,8 +232,9 @@ fn parse_qos(s: &str) -> Option<u32> {
 ///
 /// # Grammar
 ///
-/// [`AgentMix::from_str`] and [`AgentMix::to_string`] round-trip a
-/// compact spec grammar:
+/// [`AgentMix::from_str`](std::str::FromStr::from_str) and
+/// [`AgentMix::to_string`](ToString::to_string) round-trip a compact
+/// spec grammar:
 ///
 /// ```text
 /// mix    := "parallel:" app | "bundle:" NAME | "alone:" app
@@ -430,8 +431,9 @@ impl std::str::FromStr for AgentMix {
 }
 
 impl std::fmt::Display for AgentMix {
-    /// The canonical grammar rendering; [`AgentMix::from_str`] parses
-    /// it back to an equal value.
+    /// The canonical grammar rendering;
+    /// [`AgentMix::from_str`](std::str::FromStr::from_str) parses it
+    /// back to an equal value.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             AgentMix::Parallel(app) => write!(f, "parallel:{app}"),

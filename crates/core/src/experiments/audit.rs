@@ -21,12 +21,13 @@ use crate::checkpoint::Checkpoint;
 use crate::config::{AgentMix, SystemConfig};
 use crate::experiments::harness::TextTable;
 use crate::faults::{FaultKind, FaultPlan};
+use crate::replay::replay_with;
 use crate::session::Session;
 use critmem_common::codec::ByteWriter;
-use critmem_common::{BankId, RankId, SimError};
+use critmem_common::SimError;
 use critmem_dram::DramConfig;
 use critmem_sched::{SchedulerKind, TcmTiebreak};
-use critmem_trace::{Fingerprint, ReplayConfig, Trace, TraceRecord, TraceReplayer};
+use critmem_trace::{Fingerprint, ReplayConfig, Trace, TraceRecord, TraceSource};
 
 /// The scheduler roster both audit campaigns sweep: every queue
 /// discipline in the tree, so a protocol bug in any of them would
@@ -343,26 +344,21 @@ fn single_bank_trace(n: u64) -> Trace {
     }
 }
 
-/// Wedges one bank before replaying a trace aimed at it: every
+/// Wedges one bank from the first cycle of a replay aimed at it: every
 /// request starves, and either the watchdog or the protocol auditor
 /// must notice.
 fn wedge_replay(channel: u16, rank: u8, bank: u8) -> Result<(), SimError> {
-    let trace = single_bank_trace(100);
-    let dram_cfg = trace
-        .fingerprint
-        .dram_config()
-        .map_err(|e| SimError::Trace(e.to_string()))?;
-    let mut dram = critmem_dram::DramSystem::new(dram_cfg, |ch| {
-        SchedulerKind::FrFcfs.build(2, u64::from(ch.0))
+    let plan = FaultPlan::new(0).with_fault(FaultKind::WedgeBank {
+        channel,
+        rank,
+        bank,
+        at_cycle: 0,
     });
-    dram.wedge_bank(channel as usize, RankId(rank), BankId(bank));
     let mut cfg = ReplayConfig::default().with_audit(true);
     cfg.watchdog.no_commit_cycles = 30_000;
     cfg.watchdog.check_interval = 1_024;
-    TraceReplayer::new(trace, dram, cfg)
-        .map_err(|e| SimError::Trace(e.to_string()))?
-        .try_run()
-        .map(|_| ())
+    let source = TraceSource::from(single_bank_trace(100));
+    replay_with(source, SchedulerKind::FrFcfs, cfg, Some(&plan)).map(|_| ())
 }
 
 /// Serializes a trace, flips one byte, and reads it back: the

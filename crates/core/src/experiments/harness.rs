@@ -9,9 +9,8 @@ use crate::pool::scoped_map_isolated;
 use crate::session::Session;
 use crate::system::RunStats;
 use critmem_common::SimError;
-use critmem_dram::DramSystem;
 use critmem_sched::SchedulerKind;
-use critmem_trace::{ReplayConfig, ReplayStats, Trace, TraceReplayer};
+use critmem_trace::{ReplayConfig, ReplayStats, Trace, TraceSource};
 use critmem_workloads::PARALLEL_APPS;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -520,21 +519,17 @@ impl Runner {
             }
         }
         let replayed = plan.replays.len() as u64;
-        let items: Vec<(String, Arc<Trace>, SchedulerKind, SystemConfig)> = plan
+        // The capture was part of the plan (or already cached), so
+        // `capture` is a cache hit.
+        let items: Vec<(String, Arc<Trace>, SchedulerKind)> = plan
             .replays
             .into_iter()
-            .map(|rep| {
-                // The capture was part of the plan (or already cached),
-                // so this is a cache hit.
-                let trace = self.capture(rep.app);
-                let cfg = self.parallel_cfg().with_scheduler(rep.scheduler);
-                (rep.key, trace, rep.scheduler, cfg)
-            })
+            .map(|rep| (rep.key, self.capture(rep.app), rep.scheduler))
             .collect();
-        let hooks = &self.hooks;
-        let results = scoped_map_isolated(self.jobs, &items, |(key, trace, scheduler, cfg)| {
+        let (hooks, audit) = (&self.hooks, self.audit);
+        let results = scoped_map_isolated(self.jobs, &items, |(key, trace, scheduler)| {
             hooks.maybe_inject(key);
-            Self::replay_cell(trace, *scheduler, cfg)
+            Self::replay_cell(trace, *scheduler, audit)
         });
         for ((key, ..), result) in items.into_iter().zip(results) {
             match result.and_then(|r| r) {
@@ -552,22 +547,15 @@ impl Runner {
         self.replays_executed += replayed;
     }
 
-    /// Builds a DRAM system with `scheduler` and replays `trace` on it
-    /// (the shared cell body of the serial and pooled replay paths).
+    /// Replays `trace` under `scheduler` (the shared cell body of the
+    /// serial and pooled replay paths).
     fn replay_cell(
-        trace: &Arc<Trace>,
+        trace: &Trace,
         scheduler: SchedulerKind,
-        cfg: &SystemConfig,
+        audit: bool,
     ) -> Result<ReplayStats, SimError> {
-        let num_threads = cfg.cores;
-        let dram = DramSystem::new(cfg.dram, |ch| scheduler.build(num_threads, u64::from(ch.0)));
-        TraceReplayer::new(
-            (**trace).clone(),
-            dram,
-            ReplayConfig::default().with_audit(cfg.audit),
-        )
-        .map_err(|e| SimError::Trace(e.to_string()))?
-        .try_run()
+        let cfg = ReplayConfig::default().with_audit(audit);
+        crate::replay(TraceSource::from(trace.clone()), scheduler, cfg)
     }
 
     /// Runs one cell on the calling thread under the same
@@ -723,9 +711,9 @@ impl Runner {
     }
 
     /// Replays (or recalls) an app's captured trace under `scheduler`.
-    /// The DRAM system is rebuilt from the runner's own configuration —
-    /// same topology as the capture, scheduler swapped — so the
-    /// replayed controllers see exactly the recorded arrival stream.
+    /// The DRAM system is rebuilt from the capture's fingerprint —
+    /// same topology, scheduler swapped — so the replayed controllers
+    /// see exactly the recorded arrival stream.
     pub fn replay(&mut self, app: &'static str, scheduler: SchedulerKind) -> Arc<ReplayStats> {
         let key = format!(
             "{app}|{}|replay@{}",
@@ -749,9 +737,9 @@ impl Runner {
         if self.verbose {
             eprintln!("  [replay {:>3}] {key}", self.replays_executed + 1);
         }
-        let cfg = self.parallel_cfg().with_scheduler(scheduler);
+        let audit = self.audit;
         let outcome = Self::isolated_cell(&self.hooks, &key, || {
-            Self::replay_cell(&trace, scheduler, &cfg)
+            Self::replay_cell(&trace, scheduler, audit)
         });
         self.replays_executed += 1;
         match outcome {

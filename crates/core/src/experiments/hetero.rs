@@ -60,9 +60,7 @@ pub struct HeteroStudy {
     /// Canonical mix grammar strings, in run order (the export's
     /// `cycle` column indexes into this list).
     pub mixes: Vec<String>,
-    /// One point per scheduler, in
-    /// [`frontier_schedulers`](crate::experiments::frontier_schedulers)
-    /// order.
+    /// One point per scheduler, in [`frontier_schedulers`] order.
     pub points: Vec<HeteroPoint>,
 }
 

@@ -3,17 +3,16 @@
 //! throughput measurement.
 //!
 //! These are the `repro trace stream|synth` workhorses and the bench
-//! suite's `streaming` probes. Both build the DRAM system from the
-//! source's own [`Fingerprint`](critmem_trace::Fingerprint) (topology
-//! from the capture, controller policy from the paper baseline), so a
-//! file is all you need — no matching `SystemConfig` required.
+//! suite's `streaming` probes. Both go through [`crate::replay()`],
+//! which builds the DRAM system from the source's own
+//! [`Fingerprint`](critmem_trace::Fingerprint) (topology from the
+//! capture, controller policy from the paper baseline), so a file is
+//! all you need — no matching `SystemConfig` required.
 
+use crate::replay::replay_with;
 use critmem_common::SimError;
-use critmem_dram::DramSystem;
 use critmem_sched::SchedulerKind;
-use critmem_trace::{
-    ReplayConfig, ReplayStats, SynthSource, TraceReplayer, TraceStream, TrafficProfile,
-};
+use critmem_trace::{ReplayConfig, ReplayStats, SynthSource, TraceStream, TrafficProfile};
 use std::path::Path;
 use std::time::Instant;
 
@@ -40,22 +39,15 @@ pub struct StreamReplayOutcome {
 /// # Errors
 ///
 /// [`SimError::Trace`] on open/format/corruption failures, and
-/// whatever [`TraceReplayer::try_run`] reports (watchdog trips).
+/// whatever [`crate::replay()`] reports (watchdog trips).
 pub fn stream_replay(
     path: &Path,
     scheduler: SchedulerKind,
     cfg: ReplayConfig,
 ) -> Result<StreamReplayOutcome, SimError> {
-    let trace_err = |e: critmem_trace::TraceError| SimError::Trace(e.to_string());
-    let mut stream = TraceStream::open(path).map_err(trace_err)?;
-    let fp = stream.fingerprint().clone();
-    let dram_cfg = fp.dram_config().map_err(trace_err)?;
-    let cores = fp.cores as usize;
-    let dram = DramSystem::new(dram_cfg, |ch| scheduler.build(cores, u64::from(ch.0)));
+    let stream = TraceStream::open(path).map_err(|e| SimError::Trace(e.to_string()))?;
     let started = Instant::now();
-    let stats = TraceReplayer::from_source(&mut stream, dram, cfg)
-        .map_err(trace_err)?
-        .try_run()?;
+    let (stats, stream) = replay_with(stream, scheduler, cfg, None)?;
     Ok(StreamReplayOutcome {
         stats,
         peak_resident_bytes: stream.peak_resident_bytes(),
@@ -83,7 +75,7 @@ pub struct SynthReplayOutcome {
 /// # Errors
 ///
 /// [`SimError::Trace`] if the profile's topology cannot be
-/// reconstructed, and whatever [`TraceReplayer::try_run`] reports.
+/// reconstructed, and whatever [`crate::replay()`] reports.
 pub fn synth_replay(
     profile: &TrafficProfile,
     seed: u64,
@@ -91,15 +83,9 @@ pub fn synth_replay(
     scheduler: SchedulerKind,
     cfg: ReplayConfig,
 ) -> Result<SynthReplayOutcome, SimError> {
-    let trace_err = |e: critmem_trace::TraceError| SimError::Trace(e.to_string());
-    let mut source = SynthSource::new(profile, seed).with_limit(requests);
-    let dram_cfg = profile.fingerprint.dram_config().map_err(trace_err)?;
-    let cores = profile.fingerprint.cores as usize;
-    let dram = DramSystem::new(dram_cfg, |ch| scheduler.build(cores, u64::from(ch.0)));
+    let source = SynthSource::new(profile, seed).with_limit(requests);
     let started = Instant::now();
-    let stats = TraceReplayer::from_source(&mut source, dram, cfg)
-        .map_err(trace_err)?
-        .try_run()?;
+    let (stats, source) = replay_with(source, scheduler, cfg, None)?;
     Ok(SynthReplayOutcome {
         stats,
         generated: source.generated(),

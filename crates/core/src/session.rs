@@ -136,8 +136,9 @@ impl<O: RequestObserver> Session<O> {
     }
 
     /// Samples every registered metric each `epoch` CPU cycles into
-    /// [`RunStats::series`]. For trace/synth replay the equivalent
-    /// knob is [`critmem_trace::ReplayConfig::with_sampling`] — see
+    /// [`RunStats::series`]. Trace replay ([`crate::replay()`]) runs on
+    /// the same system and sampler; its knob is
+    /// [`critmem_trace::ReplayConfig::with_sampling`] — see
     /// [`critmem_trace::ReplayConfig`] for the single reference on how
     /// sampling, windowing, and the watchdog interact.
     #[must_use]

@@ -206,7 +206,8 @@ impl critmem_common::Observable for AgentStats {
 /// its own ids from a disjoint namespace), [`MemoryAgent::complete`]
 /// for every finished request, and [`MemoryAgent::quiescent_until`]
 /// when deciding whether the skip-ahead kernel may batch-advance the
-/// clock.
+/// clock; [`MemoryAgent::admitted`] reports each enqueue attempt. The
+/// `Any` bound lets a system's owner recover the concrete agent.
 ///
 /// # Contracts
 ///
@@ -220,7 +221,7 @@ impl critmem_common::Observable for AgentStats {
 /// * **State capture** — `save_state`/`load_state` round-trip the full
 ///   mutable state, so a CMCK checkpoint restore resumes the exact
 ///   request stream.
-pub trait MemoryAgent {
+pub trait MemoryAgent: std::any::Any {
     /// This agent's class.
     fn class(&self) -> AgentClass;
 
@@ -236,6 +237,20 @@ pub trait MemoryAgent {
 
     /// Notifies the agent that one of its requests finished at `now`.
     fn complete(&mut self, req: &MemRequest, now: CpuCycle);
+
+    /// Reports one attempt at `now` to enqueue `req`, a request this
+    /// agent generated: `accepted` is `false` when a full transaction
+    /// queue bounced it. A bounced request waits in the system's
+    /// overflow queue and is attempted again, in order, on a later
+    /// cycle; requests queued behind it are not attempted meanwhile.
+    /// The default ignores the report.
+    fn admitted(&mut self, _req: &MemRequest, _accepted: bool, _now: CpuCycle) {}
+
+    /// Scheduler threads this agent issues on: that many consecutive
+    /// thread ids, whose completions all route back here. Default one.
+    fn threads(&self) -> usize {
+        1
+    }
 
     /// Work units finished so far (the forward-progress measure the
     /// watchdog and the run-completion check use).

@@ -517,10 +517,6 @@ impl RequestSource for SynthSource {
     fn next_record(&mut self) -> Result<Option<TraceRecord>, TraceError> {
         Ok(self.generate())
     }
-
-    fn len_hint(&self) -> Option<u64> {
-        self.remaining
-    }
 }
 
 impl std::fmt::Debug for SynthSource {
@@ -659,7 +655,6 @@ mod tests {
             crits += u64::from(rec.crit > 0);
         }
         assert_eq!(s.generated(), 5_000);
-        assert_eq!(s.len_hint(), Some(0));
         // The fitted mix (70% reads, 30% writes+prefetch, 25%-ish
         // critical) must show up in the synthesized traffic.
         assert!(kinds[0] > kinds[1] && kinds[1] > kinds[2], "{kinds:?}");

@@ -26,8 +26,11 @@ echo "== trace capture/replay smoke test"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 ./target/release/repro --scale quick trace capture swim "$tmp/swim.cmtr"
-./target/release/repro trace replay "$tmp/swim.cmtr" --sched fr-fcfs
+./target/release/repro trace replay "$tmp/swim.cmtr" --sched fr-fcfs | tee "$tmp/replay.out"
 ./target/release/repro trace replay "$tmp/swim.cmtr" --sched casras-crit
+# Auditing observes replay without changing it: same output, line for line.
+./target/release/repro --audit trace replay "$tmp/swim.cmtr" --sched fr-fcfs > "$tmp/replay.audit"
+diff "$tmp/replay.out" "$tmp/replay.audit"
 
 echo "== streaming pipeline smoke test (capture -> profile -> synth)"
 # Stream the capture back (constant chunk memory), fit a CMPF traffic
@@ -36,6 +39,9 @@ echo "== streaming pipeline smoke test (capture -> profile -> synth)"
 ./target/release/repro trace stream "$tmp/swim.cmtr" --sched fr-fcfs \
   | tee "$tmp/stream.out"
 grep -q 'peak resident chunk memory 10756 B' "$tmp/stream.out"
+# Streamed and in-memory replay of one capture agree on every statistic.
+summary() { grep -E '^  (mean read latency|row hits)' "$1"; }
+diff <(summary "$tmp/replay.out") <(summary "$tmp/stream.out")
 ./target/release/repro trace profile "$tmp/swim.cmtr" "$tmp/swim.cmpf"
 ./target/release/repro trace synth "$tmp/swim.cmpf" --requests 1000000 \
   --sched casras-crit --max-outstanding 64 --epoch 1000000 --window 32 \

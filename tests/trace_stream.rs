@@ -13,11 +13,10 @@ use critmem::config::{AgentMix, PredictorKind, SystemConfig};
 use critmem::experiments::{stream_replay, synth_replay, Runner, Scale};
 use critmem::Session;
 use critmem_common::codec::ByteWriter;
-use critmem_dram::DramSystem;
 use critmem_predict::CbpMetric;
 use critmem_sched::SchedulerKind;
 use critmem_trace::{
-    ReplayConfig, ReplayStats, Trace, TraceError, TraceReplayer, TraceStream, TrafficProfile,
+    ReplayConfig, ReplayStats, Trace, TraceError, TraceSource, TraceStream, TrafficProfile,
     CHUNK_BYTES,
 };
 use std::path::PathBuf;
@@ -47,12 +46,7 @@ fn stats_bytes(stats: &ReplayStats) -> Vec<u8> {
 }
 
 fn replay_in_memory(trace: Trace, cfg: ReplayConfig) -> ReplayStats {
-    let dram_cfg = trace.fingerprint.dram_config().unwrap();
-    let threads = trace.fingerprint.cores as usize;
-    let dram = DramSystem::new(dram_cfg, |ch| {
-        SchedulerKind::FrFcfs.build(threads, u64::from(ch.0))
-    });
-    TraceReplayer::new(trace, dram, cfg).unwrap().run()
+    critmem::replay(TraceSource::from(trace), SchedulerKind::FrFcfs, cfg).unwrap()
 }
 
 #[test]

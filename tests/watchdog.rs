@@ -5,10 +5,9 @@
 use critmem::config::{AgentMix, PredictorKind, SystemConfig};
 use critmem::{RunStats, Session, System};
 use critmem_common::{SimError, WatchdogReason};
-use critmem_dram::DramSystem;
 use critmem_predict::CbpMetric;
 use critmem_sched::SchedulerKind;
-use critmem_trace::{ReplayConfig, TraceReplayer};
+use critmem_trace::{ReplayConfig, TraceSource};
 
 fn small_cfg(instructions: u64) -> SystemConfig {
     let mut cfg = SystemConfig::paper_baseline(instructions);
@@ -120,11 +119,12 @@ fn replay_watchdog_catches_a_wedged_scheduler() {
         .observer
         .into_trace();
     assert!(!trace.records.is_empty(), "swim must miss the L2");
-    let dram = DramSystem::new(cfg.dram, |_| Box::new(critmem_sched::Wedge));
-    let err = TraceReplayer::new(trace, dram, ReplayConfig::default())
-        .expect("same topology")
-        .try_run()
-        .expect_err("wedged replay must trip the watchdog");
+    let err = critmem::replay(
+        TraceSource::from(trace),
+        SchedulerKind::Wedged,
+        ReplayConfig::default(),
+    )
+    .expect_err("wedged replay must trip the watchdog");
     let SimError::Watchdog(snap) = err else {
         panic!("expected a watchdog error, got {err:?}");
     };
