@@ -90,7 +90,8 @@ fn usage() -> ! {
          \x20      repro audit inject <spec>         (one fault, e.g. corrupt-sched@ch0,c5000)\n\
          experiments: {}\n\
          --jobs N: simulation worker threads (default: available cores; 1 = serial)\n\
-         --no-skip-ahead: disable event-driven clock skip-ahead (same results, slower)\n\
+         --no-skip-ahead: disable event-driven clock skip-ahead and per-core sleep\n\
+         \x20                (steps every core every cycle; same results, slower)\n\
          --audit: attach the independent protocol/conservation auditors to every run\n\
          \x20        (results stay byte-identical; violations exit 4)\n\
          --journal <file>: record completed cells for crash recovery\n\

@@ -497,9 +497,13 @@ pub struct SystemConfig {
     pub shards: usize,
     /// Event-driven skip-ahead: when every component reports a quiet
     /// window, batch-advance the clock to the next event horizon
-    /// instead of stepping cycle by cycle. Byte-identical to serial
-    /// stepping by construction (and asserted by the identity suite);
-    /// also excluded from checkpoint fingerprints and memo keys.
+    /// instead of stepping cycle by cycle; and on the cycles that are
+    /// stepped, let each core sleep (skip `Core::step`, replaying only
+    /// its stall counters) until its own horizon or an inbound fill
+    /// says it can act. Byte-identical to serial stepping by
+    /// construction (and asserted by the identity suite); also
+    /// excluded from checkpoint fingerprints and memo keys. Off, every
+    /// core steps every cycle: the reference kernel.
     pub skip_ahead: bool,
     /// Independent run auditing: attach a shadow protocol auditor to
     /// every DRAM channel and a request-conservation auditor to the

@@ -14,7 +14,7 @@ use critmem_common::{
 };
 use critmem_cpu::{
     AgentClass, AgentStats, CbpPredictor, ClptPredictor, Core, CoreStats, InstrSource,
-    LoadCriticalityPredictor, MemoryAgent, NoPredictor,
+    LoadCriticalityPredictor, MemoryAgent, NoPredictor, StepEvents,
 };
 use critmem_dram::{ChannelStats, DramSystem};
 use critmem_predict::{Clpt, CommitBlockPredictor};
@@ -305,6 +305,16 @@ pub struct System<O: RequestObserver = ()> {
     now: CpuCycle,
     core_finish: Vec<Option<u64>>,
     lq_full_cycles: Vec<u64>,
+    /// Per-core wake table: entry `i` is the earliest cycle at which
+    /// core `i` could do more than replay stall counters — its
+    /// [`Core::quiescent_until`] after its last step, lowered by every
+    /// fill delivered since. Under [`SystemConfig::skip_ahead`] a core
+    /// is stepped only once `now` reaches its entry. Engine state, not
+    /// platform state: never serialized, reset to 0 (wake everyone)
+    /// whenever a core changes from outside the run loop.
+    wake: Vec<CpuCycle>,
+    /// `Core::step` calls made since construction (inspection hook).
+    core_steps: u64,
     /// Pending §5.1 forwarding messages. `forward_latency` is constant,
     /// so `deliver_at` is monotone over the queue and the due set is
     /// always a prefix.
@@ -629,6 +639,8 @@ impl<O: RequestObserver> System<O> {
             now: 0,
             core_finish: vec![None; cfg.cores],
             lq_full_cycles: vec![0; cfg.cores],
+            wake: vec![0; cfg.cores],
+            core_steps: 0,
             forwards: VecDeque::new(),
             sampler,
             conservation,
@@ -796,13 +808,26 @@ impl<O: RequestObserver> System<O> {
         // 1. Cores, in rotating order: shared-resource races (L2 MSHRs,
         // transaction-queue slots) must not systematically favor
         // low-numbered cores. A core-less system has no hierarchy.
+        // Under skip-ahead a core whose wake cycle lies ahead sleeps:
+        // its `quiescent_until` promise says this step would only bump
+        // stall counters, so `Core::skip` bumps them instead, eagerly,
+        // and every reader sees them current. A quiescent core never
+        // touches the hierarchy, so the others race for it unchanged.
         if let Some(hierarchy) = &mut self.hierarchy {
             let n = self.cores.len();
             let start = (now as usize) % n;
             for k in 0..n {
                 let i = (start + k) % n;
                 let core = &mut self.cores[i];
-                let events = core.step(now, self.sources[i].as_mut(), hierarchy);
+                let events = if self.cfg.skip_ahead && now < self.wake[i] {
+                    core.skip(now - 1, 1);
+                    StepEvents::default()
+                } else {
+                    self.core_steps += 1;
+                    let events = core.step(now, self.sources[i].as_mut(), hierarchy);
+                    self.wake[i] = core.quiescent_until(now);
+                    events
+                };
                 if core.lq_full() {
                     self.lq_full_cycles[i] += 1;
                 }
@@ -869,8 +894,12 @@ impl<O: RequestObserver> System<O> {
                     Some(t) => self.agents[self.agent_of_thread[t]].complete(&done.req, now),
                     None => {
                         let hierarchy = self.hierarchy.as_mut().expect("cores have a hierarchy");
+                        // A fill is a core's only external input, so
+                        // it is the only thing that wakes one early.
                         for c in hierarchy.dram_completed(&done.req, now) {
-                            self.cores[c.core.index()].mem_completed(c.token.0, c.done);
+                            let k = c.core.index();
+                            self.cores[k].mem_completed(c.token.0, c.done);
+                            self.wake[k] = self.wake[k].min(c.done);
                         }
                     }
                 }
@@ -939,7 +968,9 @@ impl<O: RequestObserver> System<O> {
     ///
     /// Every cycle in `now + 1 .. horizon` is provably quiescent: each
     /// core reports it cannot commit, issue, dispatch, or retire a
-    /// store ([`Core::quiescent_until`]); no forwarding message comes
+    /// store ([`Core::quiescent_until`], read from the per-core wake
+    /// table that also lets each core sleep on its own while the
+    /// others run); no forwarding message comes
     /// due (the queue is deliver-time ordered, so the front bounds the
     /// whole queue); the cache outbox has nothing ready (an unpopped
     /// DRAM-full retry carries `ready_at = 0` and pins the horizon to
@@ -957,12 +988,11 @@ impl<O: RequestObserver> System<O> {
     pub fn idle_horizon(&self) -> CpuCycle {
         let now = self.now;
         let nxt = now + 1;
-        let mut horizon = CpuCycle::MAX;
-        for core in &self.cores {
-            horizon = horizon.min(core.quiescent_until(now));
-            if horizon <= nxt {
-                return nxt;
-            }
+        // The wake table holds each core's `quiescent_until` from its
+        // last step, lowered by every fill since: no core re-scans.
+        let mut horizon = self.wake.iter().copied().min().unwrap_or(CpuCycle::MAX);
+        if horizon <= nxt {
+            return nxt;
         }
         // Agents honor the same contract: `quiescent_until` bounds the
         // first cycle at which `generate` could emit. Overflow pending
@@ -1009,7 +1039,8 @@ impl<O: RequestObserver> System<O> {
     /// controller cycles, applied in closed form via
     /// [`DramSystem::skip`]), and `now` itself. No commits, deliveries,
     /// enqueues, completions, or samples can occur in the window, so
-    /// nothing else changes.
+    /// nothing else changes — the wake table included, since every
+    /// entry lies at or past the horizon.
     fn skip(&mut self, n: u64) {
         let now = self.now;
         for (i, core) in self.cores.iter_mut().enumerate() {
@@ -1037,6 +1068,14 @@ impl<O: RequestObserver> System<O> {
     /// disabled.
     pub fn samples_taken(&self) -> usize {
         self.sampler.as_ref().map_or(0, Sampler::samples_taken)
+    }
+
+    /// Number of [`Core::step`] calls made since this system was built
+    /// (a restore does not carry it over). Without skip-ahead every
+    /// core steps every cycle; with it, a sleeping core is not
+    /// stepped, so this counts the work per-core sleep leaves.
+    pub fn core_steps(&self) -> u64 {
+        self.core_steps
     }
 
     /// Per-core committed instruction counts (progress inspection).
@@ -1183,6 +1222,8 @@ impl<O: RequestObserver> System<O> {
         for core in &mut self.cores {
             core.replace_predictor(build_predictor(predictor));
         }
+        // A fresh predictor brings its own reset schedule.
+        self.wake.fill(0);
     }
 
     /// Captures the full mutable state of the system — cores,
@@ -1273,6 +1314,9 @@ impl<O: RequestObserver> System<O> {
         for core in &mut self.cores {
             core.load_state(r, load_predictors)?;
         }
+        // The wake table is not saved: every core steps next cycle and
+        // recomputes its own.
+        self.wake.fill(0);
         for src in &mut self.sources {
             src.load_state(r)?;
         }

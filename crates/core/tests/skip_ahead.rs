@@ -188,3 +188,103 @@ fn idle_horizon_is_sound_through_the_public_api() {
     assert!(sys.done(), "run must finish under the cycle bound");
     assert!(windows > 0, "workload never produced a quiet window");
 }
+
+/// The paper's 8-core baseline under CASRAS-Crit + CBP MaxStallTime.
+/// With eight cores the system-wide horizon rarely finds every core
+/// idle at once, so most of the skipped work here is single cores
+/// sleeping below their own horizon while the others step.
+fn paper_radix(instr: u64) -> SystemConfig {
+    let mut cfg = SystemConfig::paper_baseline(instr)
+        .with_scheduler(SchedulerKind::CasRasCrit)
+        .with_predictor(PredictorKind::cbp64(CbpMetric::MaxStallTime));
+    cfg.max_cycles = 50_000_000;
+    cfg
+}
+
+/// Per-core sleep on eight cores, with naive forwarding (a sleeping
+/// core must still surface its one-shot block events on time) and
+/// sampling (every sample reads counters of sleeping cores).
+#[test]
+fn eight_core_paper_baseline_is_identical_under_the_accelerated_kernel() {
+    let mut cfg = paper_radix(1_000).with_sampling(5_000);
+    cfg.naive_forwarding = true;
+    let wl = AgentMix::Parallel("radix");
+    let reference = bytes(&run(with_kernel(&cfg, false), &wl));
+    let got = bytes(&run(with_kernel(&cfg, true), &wl));
+    assert_eq!(got, reference, "per-core sleep diverged");
+}
+
+/// Cores sleeping beside bus-saturating agents: the agents generate
+/// and complete every cycle while the two OoO cores sit blocked.
+#[test]
+fn hetero_stream_mix_is_identical_under_the_accelerated_kernel() {
+    let mut cfg = SystemConfig::multiprogrammed_baseline(1_000)
+        .with_scheduler(SchedulerKind::DEFAULT_META)
+        .with_predictor(PredictorKind::cbp64(CbpMetric::MaxStallTime));
+    cfg.cores = 2;
+    cfg.hierarchy = critmem_cache::HierarchyConfig::paper_baseline(2);
+    cfg.max_cycles = 50_000_000;
+    cfg.watchdog.max_request_age = 2_000_000;
+    let mix: AgentMix = "ooo:mcf*2+stream*2".parse().expect("valid mix");
+    let reference = bytes(&run(with_kernel(&cfg, false), &mix));
+    let got = bytes(&run(with_kernel(&cfg, true), &mix));
+    assert_eq!(got, reference, "per-core sleep diverged beside agents");
+}
+
+/// A checkpoint taken by the skip kernel while cores are asleep (the
+/// wake table is engine state, not saved) must resume under the serial
+/// kernel and finish byte-identical to an unbroken serial run.
+#[test]
+fn checkpoint_with_cores_asleep_resumes_under_the_serial_kernel() {
+    let cfg = paper_radix(1_000);
+    let wl = AgentMix::Parallel("radix");
+    // Find a boundary after which some core sleeps: stepping the next
+    // cycle makes fewer `Core::step` calls than there are cores.
+    let mut probe = System::new(with_kernel(&cfg, true), &wl);
+    while probe.now() < 5_000 {
+        probe.step();
+    }
+    let boundary = loop {
+        let (at, before) = (probe.now(), probe.core_steps());
+        probe.step();
+        if probe.core_steps() - before < cfg.cores as u64 {
+            break at;
+        }
+        assert!(!probe.done(), "no core ever slept");
+    };
+    let reference = bytes(&run(with_kernel(&cfg, false), &wl));
+    let ckpt = Session::new(with_kernel(&cfg, true), &wl)
+        .checkpoint_at(boundary)
+        .run_to_checkpoint()
+        .unwrap_or_else(|e| panic!("{e}"));
+    let resumed = Session::from_checkpoint(&ckpt, with_kernel(&cfg, false), &wl)
+        .run()
+        .unwrap_or_else(|e| panic!("{e}"))
+        .stats;
+    assert_eq!(bytes(&resumed), reference);
+}
+
+/// `System::core_steps` is the layer evidence for per-core sleep: the
+/// serial kernel steps every core on every cycle, and the skip kernel
+/// leaves most of those steps out on the paper's baseline.
+#[test]
+fn sleeping_cores_skip_most_core_steps() {
+    let cfg = paper_radix(1_000);
+    let steps = |skip_ahead: bool| {
+        let mut sys = System::new(with_kernel(&cfg, skip_ahead), &AgentMix::Parallel("radix"));
+        while !sys.done() {
+            sys.step();
+        }
+        (sys.core_steps(), cfg.cores as u64 * sys.now())
+    };
+    let (serial, all) = steps(false);
+    assert_eq!(
+        serial, all,
+        "the serial kernel steps every core every cycle"
+    );
+    let (slept, all) = steps(true);
+    assert!(
+        slept * 2 < all,
+        "per-core sleep stepped {slept} of {all} core-cycles"
+    );
+}

@@ -458,6 +458,11 @@ impl Core {
     /// inert (the caller guarantees `now + n < quiescent_until(now)`),
     /// replaying exactly the per-cycle counters a serial run of
     /// `step(now + 1) .. step(now + n)` would have accumulated.
+    ///
+    /// Two callers rely on it: the system-wide skip-ahead, which jumps
+    /// every core across a window at once, and per-core sleep, which
+    /// calls `skip(c - 1, 1)` on each cycle `c` that one core spends
+    /// below its own horizon while the others step.
     pub fn skip(&mut self, now: CpuCycle, n: u64) {
         self.stats.cycles += n;
         if let Some(head) = self.rob.front() {
@@ -1175,5 +1180,118 @@ mod tests {
         let (core, _, _) = run_core(instrs, 123, 100_000);
         assert!(core.done());
         assert!(core.stats().committed >= 123);
+    }
+
+    /// The per-core sleep contract: a core stepped only once `now`
+    /// reaches its wake cycle (its `quiescent_until` after its last
+    /// step, lowered by every fill delivered since) and otherwise
+    /// advanced one cycle at a time with `skip` stays byte-identical to
+    /// a core stepped every cycle — including when fills land in the
+    /// middle of a sleep and when the predictor's periodic reset falls
+    /// inside one.
+    #[test]
+    fn sleeping_core_matches_every_cycle_stepping() {
+        use critmem_common::codec::ByteWriter;
+        use critmem_predict::{CbpMetric, CommitBlockPredictor, TableSize};
+        const RESET_INTERVAL: CpuCycle = 1_000;
+        let mut script = Vec::new();
+        for i in 0..300u64 {
+            // A missing load (every other one chained to the previous,
+            // so the core waits out whole fills) with consumers hanging
+            // off it, a store, and a branch that mispredicts every
+            // third pass.
+            let chain = (i % 2 == 0).then_some(6);
+            script.push(Instr::new(0x0, InstrKind::Load { addr: i * 8192 }).with_deps(chain, None));
+            script.push(Instr::new(0x4, InstrKind::IntAlu).with_deps(Some(1), None));
+            script.push(Instr::new(0x8, InstrKind::IntMul).with_deps(Some(1), Some(2)));
+            script.push(Instr::new(
+                0xc,
+                InstrKind::Store {
+                    addr: i * 4096 + 64,
+                },
+            ));
+            script.push(
+                Instr::new(
+                    0x10,
+                    InstrKind::Branch {
+                        mispredict: i % 3 == 0,
+                    },
+                )
+                .with_deps(Some(2), None),
+            );
+            script.push(Instr::new(0x14, InstrKind::FpAlu).with_deps(Some(1), None));
+        }
+        let build = || {
+            let cbp = CommitBlockPredictor::new(CbpMetric::MaxStallTime, TableSize::Entries(64))
+                .with_reset_interval(RESET_INTERVAL);
+            let core = Core::new(
+                CoreId(0),
+                CoreConfig::paper_baseline(),
+                Box::new(crate::predictor::CbpPredictor::new(cbp)),
+                1_500,
+            );
+            let mem = CacheHierarchy::new(HierarchyConfig::paper_baseline(1));
+            (core, mem, Script::new(script.clone()))
+        };
+        // A fixed 100-cycle DRAM that answers each read when it comes
+        // back, as the system does, so fills land while a core sleeps.
+        // Returns the earliest fill delivered this cycle.
+        type Dram = VecDeque<(CpuCycle, critmem_common::MemRequest)>;
+        fn serve(
+            core: &mut Core,
+            mem: &mut CacheHierarchy,
+            dram: &mut Dram,
+            now: CpuCycle,
+        ) -> CpuCycle {
+            while let Some(req) = mem.pop_request(now) {
+                if req.kind != critmem_common::AccessKind::Write {
+                    dram.push_back((now + 100, req));
+                }
+            }
+            let mut earliest = CpuCycle::MAX;
+            while let Some((_, req)) = dram.pop_front_if(|(at, _)| *at <= now) {
+                for c in mem.dram_completed(&req, now) {
+                    core.mem_completed(c.token.0, c.done);
+                    earliest = earliest.min(c.done);
+                }
+            }
+            earliest
+        }
+        let state = |c: &Core| {
+            let mut w = ByteWriter::new();
+            c.save_state(&mut w);
+            w.into_bytes()
+        };
+        let (mut a, mut mem_a, mut src_a) = build();
+        let (mut b, mut mem_b, mut src_b) = build();
+        let (mut dram_a, mut dram_b) = (Dram::new(), Dram::new());
+        let (mut wake, mut slept, mut woken_by_fill) = (0, 0u64, 0u64);
+        let mut now = 0;
+        while !a.done() && now < 1_000_000 {
+            now += 1;
+            a.step(now, &mut src_a, &mut mem_a);
+            if now >= wake {
+                b.step(now, &mut src_b, &mut mem_b);
+                wake = b.quiescent_until(now);
+            } else {
+                b.skip(now - 1, 1);
+                slept += 1;
+            }
+            serve(&mut a, &mut mem_a, &mut dram_a, now);
+            let fill = serve(&mut b, &mut mem_b, &mut dram_b, now);
+            if fill < wake {
+                // Count the fills that cut a sleep short.
+                woken_by_fill += u64::from(wake > now + 1);
+                wake = fill;
+            }
+            assert_eq!(state(&b), state(&a), "diverged at cycle {now}");
+        }
+        assert!(a.done() && b.done());
+        assert!(slept > now / 2, "B slept only {slept} of {now} cycles");
+        assert!(woken_by_fill > 0, "no fill ever cut a sleep short");
+        assert!(
+            now > 3 * RESET_INTERVAL,
+            "the run must span several predictor resets"
+        );
     }
 }

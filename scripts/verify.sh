@@ -79,10 +79,15 @@ echo "== checkpoint warm-start smoke test"
 ./target/release/repro --scale quick --jobs 2 --warm-cycles 20000 fig10 > "$tmp/fig10.warm2" 2>/dev/null
 diff "$tmp/fig10.warm1" "$tmp/fig10.warm2"
 
-echo "== stats export smoke test (JSONL, serial == --jobs 2)"
+echo "== stats export smoke test (JSONL, serial == --jobs 2 == --no-skip-ahead)"
 ./target/release/repro --scale quick --jobs 1 stats swim --epoch 20000 > "$tmp/stats.serial" 2>/dev/null
 ./target/release/repro --scale quick --jobs 2 stats swim --epoch 20000 > "$tmp/stats.jobs2" 2>/dev/null
 diff "$tmp/stats.serial" "$tmp/stats.jobs2"
+# Every sample reads the counters of cores asleep below their own
+# horizon, so the series must not depend on the kernel either.
+./target/release/repro --scale quick --jobs 1 --no-skip-ahead stats swim --epoch 20000 \
+  > "$tmp/stats.noskip" 2>/dev/null
+diff "$tmp/stats.serial" "$tmp/stats.noskip"
 head -c 120 "$tmp/stats.serial" | grep -q '"type":"export"'
 
 echo "== fairness frontier smoke test (table + export, deterministic)"
@@ -102,8 +107,8 @@ diff "$tmp/fair.serial" "$tmp/fair.noskip"
 echo "== hetero mix smoke test (table + export, deterministic)"
 # A small heterogeneous mix through the scheduler zoo: the table and
 # JSONL export must emit, and stdout must be byte-identical across
-# --jobs (the engine-knob matrix is covered by the fairness smoke and
-# the hetero system/checkpoint tests).
+# --jobs and --no-skip-ahead (cores sleep below their own horizon
+# while the agents beside them generate every cycle).
 ./target/release/repro --scale quick --jobs 1 hetero 'ooo:mcf+stream+bulk' \
   > "$tmp/hetero.serial" 2>/dev/null
 grep -q 'Heterogeneous-mix sweep' "$tmp/hetero.serial"
@@ -113,6 +118,9 @@ grep -q '"type":"export"' "$tmp/hetero.serial"
 ./target/release/repro --scale quick --jobs 2 hetero 'ooo:mcf+stream+bulk' \
   > "$tmp/hetero.jobs2" 2>/dev/null
 diff "$tmp/hetero.serial" "$tmp/hetero.jobs2"
+./target/release/repro --scale quick --jobs 1 --no-skip-ahead hetero 'ooo:mcf+stream+bulk' \
+  > "$tmp/hetero.noskip" 2>/dev/null
+diff "$tmp/hetero.serial" "$tmp/hetero.noskip"
 
 echo "== audit smoke test (--audit byte-identical, campaign 100% detection)"
 # An audited run must be silent and byte-identical to the unaudited
