@@ -60,8 +60,20 @@ pub enum AccessOutcome {
     /// The access misses to DRAM; completion arrives later via
     /// [`CacheHierarchy::dram_completed`].
     Pending(AccessToken),
-    /// Structural hazard (MSHRs full); retry next cycle.
+    /// Structural hazard (MSHRs full); retry next cycle. Nothing was
+    /// counted or changed: see [`CacheHierarchy::bounce`].
     Retry,
+}
+
+/// The MSHR file a demand access bounced off
+/// ([`CacheHierarchy::bounce`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Bounce {
+    /// The core's own L1 file. Only a fill for that core frees an
+    /// entry, and the fill reaches the core as a [`CacheCompletion`].
+    L1,
+    /// The shared L2 file. Any core's fill may free an entry.
+    Shared,
 }
 
 /// Configuration of the hierarchy (defaults = Tables 1 and 3).
@@ -311,7 +323,29 @@ impl CacheHierarchy {
         self.l1d[core.index()].hit_rate()
     }
 
-    /// Performs a data access for `core` at `addr`.
+    /// Whether a demand access by `core` to `addr` would bounce off a
+    /// full MSHR file, and off which one, without side effects. It
+    /// mirrors [`Self::access`]'s order: an L1 hit or a merge onto a
+    /// pending L1 line proceeds, a full L1 file bounces, then an L2 hit
+    /// or a merge onto a pending L2 line proceeds and a full L2 file
+    /// bounces. A bounce is no access: it counts nothing, touches no
+    /// LRU state and allocates no token.
+    pub fn bounce(&self, core: CoreId, addr: PhysAddr) -> Option<Bounce> {
+        let ci = core.index();
+        if self.l1d[ci].peek(addr).is_some() || self.l1_mshr[ci].pending(addr) {
+            return None;
+        }
+        if self.l1_mshr[ci].is_full() {
+            return Some(Bounce::L1);
+        }
+        let proceeds =
+            self.l2.peek(addr).is_some() || self.l2_mshr.pending(addr) || !self.l2_mshr.is_full();
+        (!proceeds).then_some(Bounce::Shared)
+    }
+
+    /// Performs a data access for `core` at `addr`, or returns
+    /// [`AccessOutcome::Retry`] with nothing changed when it would
+    /// [`bounce`](Self::bounce).
     ///
     /// `crit` is the processor-side criticality prediction for the
     /// load (stores pass `Criticality::non_critical()`).
@@ -323,6 +357,9 @@ impl CacheHierarchy {
         crit: Criticality,
         now: CpuCycle,
     ) -> AccessOutcome {
+        if self.bounce(core, addr).is_some() {
+            return AccessOutcome::Retry;
+        }
         let is_write = kind == CacheAccessKind::Store;
         let ci = core.index();
         // ---- L1 lookup ----
@@ -353,9 +390,6 @@ impl CacheHierarchy {
             let token = self.alloc_token(core, addr, is_write, crit, now);
             self.l1_mshr[ci].register(addr, MshrTarget { token, is_write });
             return AccessOutcome::Pending(AccessToken(token));
-        }
-        if self.l1_mshr[ci].is_full() {
-            return AccessOutcome::Retry;
         }
         // ---- L2 lookup (demand) ----
         self.stats.l2_accesses += 1;
@@ -405,10 +439,7 @@ impl CacheHierarchy {
                 self.train_prefetcher(addr, core, now);
                 AccessOutcome::Pending(AccessToken(token))
             }
-            MshrOutcome::Full => {
-                self.info.remove(&token);
-                AccessOutcome::Retry
-            }
+            MshrOutcome::Full => unreachable!("bounce() ruled out a full L2 MSHR file"),
         }
     }
 
@@ -971,6 +1002,52 @@ mod tests {
             load(&mut h, 0, 0x4000, 200),
             AccessOutcome::Pending(_)
         ));
+    }
+
+    #[test]
+    fn a_bounce_counts_and_changes_nothing() {
+        use critmem_common::codec::ByteWriter;
+        use critmem_common::Snapshot;
+        let mut cfg = HierarchyConfig::paper_baseline(2);
+        cfg.l1_mshrs = 2;
+        cfg.l2_mshrs = 3;
+        let mut h = CacheHierarchy::new(cfg);
+        // Core 0 fills its L1 file; core 1 takes the last L2 entry.
+        for (core, addr) in [(0, 0x0000), (0, 0x4000), (1, 0x8000)] {
+            assert!(matches!(
+                load(&mut h, core, addr, 0),
+                AccessOutcome::Pending(_)
+            ));
+        }
+        assert_eq!(h.bounce(CoreId(0), 0xc000), Some(Bounce::L1));
+        assert_eq!(h.bounce(CoreId(1), 0xc000), Some(Bounce::Shared));
+        // Merges onto a pending line still proceed, in either file.
+        assert_eq!(h.bounce(CoreId(0), 0x4008), None);
+        assert_eq!(h.bounce(CoreId(1), 0x0000), None);
+        let state = |h: &CacheHierarchy| {
+            let mut w = ByteWriter::new();
+            h.save_state(&mut w);
+            w.into_bytes()
+        };
+        let counters = |h: &CacheHierarchy| {
+            let mut w = ByteWriter::new();
+            h.stats().encode(&mut w);
+            let mshr = |m: &MshrFile| (m.len(), m.peak(), m.merges(), m.rejections());
+            (
+                w.into_bytes(),
+                [h.l1d[0].hit_miss(), h.l1d[1].hit_miss(), h.l2.hit_miss()],
+                [mshr(&h.l1_mshr[0]), mshr(&h.l1_mshr[1]), mshr(&h.l2_mshr)],
+            )
+        };
+        let (before, counted) = (state(&h), counters(&h));
+        for core in [0, 1] {
+            for kind in [CacheAccessKind::Load, CacheAccessKind::Store] {
+                let out = h.access(CoreId(core), 0xc000, kind, Criticality::ranked(5), 1);
+                assert_eq!(out, AccessOutcome::Retry);
+            }
+        }
+        assert_eq!(counters(&h), counted);
+        assert_eq!(state(&h), before, "a bounce changed hierarchy state");
     }
 
     #[test]

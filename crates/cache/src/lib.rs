@@ -26,8 +26,8 @@ pub mod prefetch;
 
 pub use array::{CacheArray, Evicted, Line};
 pub use hierarchy::{
-    AccessOutcome, AccessToken, CacheAccessKind, CacheCompletion, CacheHierarchy, HierarchyConfig,
-    HierarchyStats,
+    AccessOutcome, AccessToken, Bounce, CacheAccessKind, CacheCompletion, CacheHierarchy,
+    HierarchyConfig, HierarchyStats,
 };
 pub use mshr::{MshrFile, MshrOutcome, MshrTarget};
 pub use prefetch::{PrefetchConfig, StreamPrefetcher};

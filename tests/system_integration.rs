@@ -198,3 +198,35 @@ fn cacheline_interleaving_also_works() {
     let stats = run(cfg, &AgentMix::Parallel("ocean"));
     assert!(stats.cycles > 0);
 }
+
+#[test]
+fn every_l2_miss_is_one_dram_read_or_one_merge() {
+    // A load or store drain that bounces off a full MSHR file is no
+    // access: counting each retry cycle as an L2 miss once put the
+    // paper baseline's L2 hit rate near zero. Every counted demand miss
+    // either allocated an L2 MSHR entry, which a DRAM read completed or
+    // which is still held at the end, or merged onto one.
+    let cfg = SystemConfig::paper_baseline(1_000)
+        .with_scheduler(SchedulerKind::CasRasCrit)
+        .with_predictor(PredictorKind::cbp64(CbpMetric::MaxStallTime));
+    let stats = Session::new(cfg, &AgentMix::Parallel("radix"))
+        .sampling(100_000_000)
+        .run()
+        .unwrap_or_else(|e| panic!("{e}"))
+        .stats;
+    let series = stats.series.as_ref().expect("sampling was enabled");
+    let last = series.len() - 1;
+    let final_count = |id: &str| series.value(last, id).expect("cache.l2 is sampled") as u64;
+    let merges = final_count("cache.l2.mshr_merges");
+    let in_flight = final_count("cache.l2.mshr_occupancy");
+    let reads: u64 = stats.channels.iter().map(|c| c.reads_completed).sum();
+    let misses = stats.hierarchy.l2_misses;
+    assert!(
+        misses <= reads + merges + in_flight,
+        "{misses} L2 misses against {reads} DRAM reads, {merges} merges and {in_flight} held"
+    );
+    assert_eq!(
+        stats.hierarchy.l2_accesses,
+        stats.hierarchy.l2_hits + misses
+    );
+}
