@@ -88,6 +88,13 @@ diff "$tmp/stats.serial" "$tmp/stats.jobs2"
 ./target/release/repro --scale quick --jobs 1 --no-skip-ahead stats swim --epoch 20000 \
   > "$tmp/stats.noskip" 2>/dev/null
 diff "$tmp/stats.serial" "$tmp/stats.noskip"
+# Radix on the 8-core baseline keeps cores asleep on MSHR bounces for
+# most of the run, so its samples read every cache.l2, cbp.coreN and
+# cpu.coreN counter while they sleep.
+./target/release/repro --scale quick --jobs 1 stats radix --epoch 2000 > "$tmp/radix.serial" 2>/dev/null
+./target/release/repro --scale quick --jobs 1 --no-skip-ahead stats radix --epoch 2000 \
+  > "$tmp/radix.noskip" 2>/dev/null
+diff "$tmp/radix.serial" "$tmp/radix.noskip"
 head -c 120 "$tmp/stats.serial" | grep -q '"type":"export"'
 
 echo "== fairness frontier smoke test (table + export, deterministic)"
