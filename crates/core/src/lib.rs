@@ -73,3 +73,111 @@ pub use metrics::{geomean, speedup, Average};
 pub use replay::replay;
 pub use session::{RunOutput, Session};
 pub use system::{RunStats, System};
+
+#[cfg(test)]
+mod tests {
+    use crate::Checkpoint;
+    use critmem_common::crc32;
+
+    /// Pins the CRC-32 of every artifact layout's bytes, so a change to
+    /// a codec that moves a byte on disk fails here, not in a user's
+    /// old checkpoint, profile, journal or trace.
+    #[test]
+    fn artifact_bytes_are_pinned() {
+        use critmem_trace::{CoreProfile, Fingerprint, Trace, TraceRecord, TraceWriter};
+        use critmem_trace::{ReplayStats, TrafficProfile};
+
+        let fingerprint = Fingerprint::of(2, 4_270, &critmem_dram::DramConfig::paper_baseline());
+        let profile = TrafficProfile {
+            fingerprint: fingerprint.clone(),
+            source: "golden".into(),
+            records_fitted: 3,
+            mean_gap: 6.5,
+            mean_issue_lag: 1.25,
+            cores: vec![CoreProfile {
+                weight: 1.0,
+                write_frac: 0.25,
+                prefetch_frac: 0.125,
+                crit_frac: 0.5,
+                mean_crit: 3.0,
+                row_hit_frac: 0.75,
+                footprint_rows: 9,
+            }],
+        };
+
+        let path = std::env::temp_dir().join(format!(
+            "critmem-golden-journal-{}.cmjr",
+            std::process::id()
+        ));
+        let replay = ReplayStats {
+            injected: 5,
+            completed: 4,
+            weighted_latency_sum: 1 << 70,
+            ..Default::default()
+        };
+        crate::journal::SweepJournal::create(&path)
+            .unwrap()
+            .append_replay("swim|FCFS|replay@300", &replay)
+            .unwrap();
+        let journal = std::fs::read(&path).unwrap();
+        let (_, entries) = crate::journal::SweepJournal::resume(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(entries.len(), 1);
+        assert_eq!(entries[0].key(), "swim|FCFS|replay@300");
+
+        let records: Vec<TraceRecord> = (0..3u64)
+            .map(|i| TraceRecord {
+                enqueue_cycle: 10 * i,
+                issued_at: 10 * i - i,
+                id: i,
+                addr: i << 12,
+                crit: i % 2,
+                core: (i % 2) as u8,
+                kind: critmem_common::AccessKind::Read,
+            })
+            .collect();
+        let trace = Trace {
+            fingerprint: fingerprint.clone(),
+            source: "golden".into(),
+            records: records.clone(),
+        };
+        // Abandoned: the writer goes out of scope without `finish`.
+        let mut abandoned = std::io::Cursor::new(Vec::new());
+        {
+            let mut tw = TraceWriter::new(&mut abandoned, &fingerprint, "golden").unwrap();
+            for rec in &records {
+                tw.append(rec).unwrap();
+            }
+        }
+
+        // Every artifact reads back to what wrote it.
+        let ckpt = Checkpoint::sample().to_bytes();
+        assert_eq!(Checkpoint::from_bytes(&ckpt).unwrap().to_bytes(), ckpt);
+        assert_eq!(
+            TrafficProfile::from_bytes(&profile.to_bytes()).unwrap(),
+            profile
+        );
+        let read = |bytes: &[u8]| Trace::read_from(bytes).unwrap();
+        assert_eq!(read(&trace.to_bytes().unwrap()), trace);
+        assert_eq!(read(abandoned.get_ref()), trace);
+
+        let crcs = [
+            crc32::checksum(&Checkpoint::sample().to_bytes()),
+            crc32::checksum(&profile.to_bytes()),
+            crc32::checksum(&journal),
+            crc32::checksum(&trace.to_bytes().unwrap()),
+            crc32::checksum(abandoned.get_ref()),
+        ];
+        assert_eq!(
+            crcs,
+            [
+                0xECF3_1881,
+                0x48BF_3C33,
+                0x24BA_A3CB,
+                0x470B_05F7,
+                0x2ECC_2BF1
+            ],
+            "{crcs:#010X?}"
+        );
+    }
+}
