@@ -8,6 +8,12 @@
 //! encoding is positional and versioned by its container, so decode
 //! errors surface as typed [`CodecError`]s instead of garbage numbers.
 //!
+//! The artifacts share one sealed frame: a `magic | u32 version` header
+//! ([`ByteWriter::put_header`], [`ByteReader::check_header`]), then
+//! `u32 len | payload | u32 crc32(payload)` ([`ByteWriter::put_sealed`],
+//! [`ByteReader::get_sealed`]), once in a `CMCK` checkpoint or `CMPF`
+//! profile and once per record, behind a kind byte, in a `CMJR` journal.
+//!
 //! # Examples
 //!
 //! ```
@@ -24,6 +30,7 @@
 //! assert!(r.is_empty());
 //! ```
 
+use crate::crc32;
 use std::fmt;
 
 /// A decode failure: what was expected and where the stream ran out or
@@ -135,6 +142,19 @@ impl ByteWriter {
         }
     }
 
+    /// Appends an artifact header: four magic bytes and a `u32` format
+    /// version.
+    pub fn put_header(&mut self, magic: &[u8; 4], version: u32) {
+        self.buf.extend_from_slice(magic);
+        self.put_u32(version);
+    }
+
+    /// Appends a sealed frame: `u32 len | payload | u32 crc32(payload)`.
+    pub fn put_sealed(&mut self, payload: &[u8]) {
+        self.put_bytes(payload);
+        self.put_u32(crc32::checksum(payload));
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -229,21 +249,77 @@ impl<'a> ByteReader<'a> {
 
     /// Reads a length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> Result<String, CodecError> {
-        let len = self.get_u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| self.err("invalid UTF-8 string"))
+        let bytes = self.get_bytes_ref()?.to_vec();
+        String::from_utf8(bytes).map_err(|_| self.err("invalid UTF-8 string"))
     }
 
     /// Reads a length-prefixed raw byte blob.
     pub fn get_bytes(&mut self) -> Result<Vec<u8>, CodecError> {
+        Ok(self.get_bytes_ref()?.to_vec())
+    }
+
+    fn get_bytes_ref(&mut self) -> Result<&'a [u8], CodecError> {
         let len = self.get_u32()? as usize;
-        Ok(self.take(len)?.to_vec())
+        self.take(len)
     }
 
     /// Reads a length-prefixed `u64` sequence.
     pub fn get_u64_seq(&mut self) -> Result<Vec<u64>, CodecError> {
         let len = self.get_u32()? as usize;
         (0..len).map(|_| self.get_u64()).collect()
+    }
+
+    /// Checks the header [`ByteWriter::put_header`] wrote.
+    ///
+    /// # Errors
+    ///
+    /// Names the `artifact` and says "magic" for a wrong or missing
+    /// magic, "version" for a version this build does not read, and
+    /// "truncated" for a cut inside the version field.
+    pub fn check_header(
+        &mut self,
+        artifact: &str,
+        magic: &[u8; 4],
+        version: u32,
+    ) -> Result<(), CodecError> {
+        if self.buf.get(self.pos..self.pos + 4) != Some(magic) {
+            let magic = String::from_utf8_lossy(magic);
+            return Err(self.err(format!("not a {artifact} (bad magic, expected {magic:?})")));
+        }
+        self.pos += 4;
+        match self.get_u32() {
+            Ok(found) if found == version => Ok(()),
+            Ok(found) => Err(self.err(format!(
+                "unsupported {artifact} version {found} (this build reads {version})"
+            ))),
+            Err(e) => Err(self.err(format!("{artifact} truncated: {}", e.message))),
+        }
+    }
+
+    /// Reads a frame [`ByteWriter::put_sealed`] wrote and returns its
+    /// payload once the CRC matches.
+    ///
+    /// # Errors
+    ///
+    /// Names the `artifact` and says "truncated" when the bytes end
+    /// before the frame does, or "checksum" and "CRC" when the payload
+    /// does not match its CRC-32.
+    pub fn get_sealed(&mut self, artifact: &str) -> Result<&'a [u8], CodecError> {
+        let offset = self.pos;
+        let frame = |r: &mut Self| Ok((r.get_bytes_ref()?, r.get_u32()?));
+        let (payload, stored) = frame(self).map_err(|e: CodecError| CodecError {
+            message: format!("{artifact} truncated: {}", e.message),
+            offset,
+        })?;
+        let computed = crc32::checksum(payload);
+        if stored != computed {
+            let message = format!(
+                "{artifact} checksum mismatch: CRC-32 stored {stored:#010X}, computed \
+                 {computed:#010X} (corrupt or torn write)"
+            );
+            return Err(CodecError { message, offset });
+        }
+        Ok(payload)
     }
 }
 
@@ -291,6 +367,43 @@ mod tests {
     fn bad_bool_rejected() {
         let mut r = ByteReader::new(&[9]);
         assert!(r.get_bool().is_err());
+    }
+
+    #[test]
+    fn sealed_frame_round_trips_and_names_each_fault() {
+        let mut w = ByteWriter::new();
+        w.put_header(b"TEST", 3);
+        w.put_sealed(b"small payload");
+        let bytes = w.into_bytes();
+        let unseal = |bytes: &[u8]| {
+            let mut r = ByteReader::new(bytes);
+            r.check_header("test artifact", b"TEST", 3)?;
+            r.get_sealed("test artifact").map(<[u8]>::to_vec)
+        };
+        assert_eq!(unseal(&bytes).unwrap(), b"small payload");
+        let fault = |at: usize, patch: &[u8]| {
+            let mut bad = bytes.clone();
+            bad[at..at + patch.len()].copy_from_slice(patch);
+            unseal(&bad).unwrap_err().message
+        };
+        assert!(fault(0, b"X").contains("not a test artifact (bad magic"));
+        assert!(fault(4, &[9]).contains("version 9"));
+        let crc = fault(14, b"?");
+        assert!(crc.contains("CRC") && crc.contains("checksum"), "{crc}");
+        // A length one short reads the CRC out of the payload's tail.
+        assert!(fault(8, &[12]).contains("checksum"));
+        for len in [14, u32::MAX] {
+            assert!(
+                fault(8, &len.to_le_bytes()).contains("truncated"),
+                "len {len}"
+            );
+        }
+        for cut in 4..bytes.len() {
+            assert!(unseal(&bytes[..cut])
+                .unwrap_err()
+                .message
+                .contains("truncated"));
+        }
     }
 
     #[test]

@@ -516,6 +516,25 @@ pub struct SystemConfig {
 }
 
 impl SystemConfig {
+    /// Canonical platform fingerprint of this configuration running
+    /// `workload`: everything that must be identical between the system
+    /// that saved a checkpoint and one restoring it.
+    pub(crate) fn platform_fingerprint(&self, workload: &AgentMix) -> u32 {
+        let canon = format!(
+            "cores={};core={:?};hier={:?};dram={:?};mhz={};seed={};fwd={}/{};wl={:?}",
+            self.cores,
+            self.core,
+            self.hierarchy,
+            self.dram,
+            self.cpu_mhz,
+            self.seed,
+            self.naive_forwarding,
+            self.forward_latency,
+            workload
+        );
+        critmem_common::crc32::checksum(canon.as_bytes())
+    }
+
     /// The paper's 8-core parallel-workload baseline: FR-FCFS, no
     /// predictor, quad-channel DDR3-2133.
     pub fn paper_baseline(instructions_per_core: u64) -> Self {

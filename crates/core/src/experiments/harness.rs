@@ -1,7 +1,7 @@
 //! Shared experiment-harness machinery: run scaling, memoized
 //! simulation runs, and plain-text table rendering.
 
-use crate::checkpoint::{fingerprint_of, Checkpoint};
+use crate::checkpoint::Checkpoint;
 use crate::config::{AgentMix, PredictorKind, SystemConfig};
 use crate::faults::FaultHooks;
 use crate::journal::{JournalEntry, SweepJournal};
@@ -268,7 +268,7 @@ impl Runner {
     fn warm_key(cfg: &SystemConfig, workload: &AgentMix, cycles: u64) -> String {
         format!(
             "warmup:{:08x}@{}+warm{cycles}",
-            fingerprint_of(&Self::warmup_cfg(cfg), workload),
+            Self::warmup_cfg(cfg).platform_fingerprint(workload),
             cfg.instructions_per_core,
         )
     }

@@ -21,6 +21,10 @@
 //! payload := length-prefixed key string | stats encoding
 //! ```
 //!
+//! The header and each record's length, payload and CRC are the sealed
+//! frame of [`critmem_common::codec`], the one `CMCK` checkpoints and
+//! `CMPF` profiles use.
+//!
 //! A record that is truncated (the tail of a killed write) or fails its
 //! CRC ends recovery: everything before it is trusted, the file is
 //! truncated back to the valid prefix, and appending continues from
@@ -29,8 +33,8 @@
 //! whatever killed the run.
 
 use crate::system::RunStats;
-use critmem_common::codec::{ByteReader, ByteWriter};
-use critmem_common::{crc32, SimError};
+use critmem_common::codec::{ByteReader, ByteWriter, CodecError};
+use critmem_common::SimError;
 use critmem_trace::ReplayStats;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -92,11 +96,12 @@ impl SweepJournal {
     ///
     /// [`SimError::Io`] if the file cannot be created or written.
     pub fn create(path: &Path) -> Result<Self, SimError> {
+        let mut header = ByteWriter::new();
+        header.put_header(MAGIC, VERSION);
         let mut file = File::create(path).map_err(|e| io_err(path, e))?;
-        file.write_all(MAGIC).map_err(|e| io_err(path, e))?;
-        file.write_all(&VERSION.to_le_bytes())
+        file.write_all(&header.into_bytes())
+            .and_then(|()| file.flush())
             .map_err(|e| io_err(path, e))?;
-        file.flush().map_err(|e| io_err(path, e))?;
         Ok(SweepJournal {
             file,
             path: path.to_path_buf(),
@@ -119,27 +124,8 @@ impl SweepJournal {
         File::open(path)
             .and_then(|mut f| f.read_to_end(&mut bytes))
             .map_err(|e| io_err(path, e))?;
-        if bytes.len() < 8 || &bytes[..4] != MAGIC {
-            return Err(SimError::Artifact(format!(
-                "{} is not a sweep journal (bad magic)",
-                path.display()
-            )));
-        }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-        if version != VERSION {
-            return Err(SimError::Artifact(format!(
-                "{}: journal version {version} (this build reads {VERSION})",
-                path.display()
-            )));
-        }
-        let mut entries = Vec::new();
-        let mut valid_end = 8usize;
-        let mut pos = 8usize;
-        while let Some((entry, next)) = decode_record(&bytes, pos) {
-            entries.push(entry);
-            valid_end = next;
-            pos = next;
-        }
+        let (entries, valid_end) =
+            recover(&bytes).map_err(|e| SimError::Artifact(format!("{}: {e}", path.display())))?;
         let mut file = OpenOptions::new()
             .write(true)
             .open(path)
@@ -188,44 +174,47 @@ impl SweepJournal {
     /// Writes one framed record and flushes, so a kill between appends
     /// never tears more than the record being written.
     fn append_record(&mut self, kind: u8, payload: &[u8]) -> Result<(), SimError> {
-        let mut frame = Vec::with_capacity(payload.len() + 9);
-        frame.push(kind);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(payload);
-        frame.extend_from_slice(&crc32::checksum(payload).to_le_bytes());
+        let mut frame = ByteWriter::new();
+        frame.put_u8(kind);
+        frame.put_sealed(payload);
         self.file
-            .write_all(&frame)
+            .write_all(&frame.into_bytes())
             .and_then(|()| self.file.flush())
             .map_err(|e| io_err(&self.path, e))
     }
 }
 
-/// Decodes the record starting at `pos`, returning it and the offset of
-/// the next record — or `None` on a torn/corrupt record (end of the
-/// valid prefix).
-fn decode_record(bytes: &[u8], pos: usize) -> Option<(JournalEntry, usize)> {
-    let header = bytes.get(pos..pos + 5)?;
-    let kind = header[0];
-    let len = u32::from_le_bytes(header[1..5].try_into().unwrap()) as usize;
-    let payload = bytes.get(pos + 5..pos + 5 + len)?;
-    let crc_bytes = bytes.get(pos + 5 + len..pos + 9 + len)?;
-    if crc32::checksum(payload) != u32::from_le_bytes(crc_bytes.try_into().unwrap()) {
-        return None;
+/// Checks the header and decodes the longest valid prefix of records,
+/// returning them with the byte offset where that prefix ends.
+fn recover(bytes: &[u8]) -> Result<(Vec<JournalEntry>, usize), CodecError> {
+    let mut r = ByteReader::new(bytes);
+    r.check_header("sweep journal", MAGIC, VERSION)?;
+    let mut entries = Vec::new();
+    let mut valid_end = r.position();
+    while let Some(entry) = decode_record(&mut r) {
+        entries.push(entry);
+        valid_end = r.position();
     }
-    let mut r = ByteReader::new(payload);
-    let key = r.get_str().ok()?;
-    let entry = match kind {
-        KIND_RUN => JournalEntry::Run {
+    Ok((entries, valid_end))
+}
+
+/// Decodes the record at the reader's position — or `None` on a
+/// torn/corrupt record (end of the valid prefix).
+fn decode_record(r: &mut ByteReader<'_>) -> Option<JournalEntry> {
+    let kind = r.get_u8().ok()?;
+    let mut payload = ByteReader::new(r.get_sealed("journal record").ok()?);
+    let key = payload.get_str().ok()?;
+    match kind {
+        KIND_RUN => Some(JournalEntry::Run {
             key,
-            stats: RunStats::decode(&mut r).ok()?,
-        },
-        KIND_REPLAY => JournalEntry::Replay {
+            stats: RunStats::decode(&mut payload).ok()?,
+        }),
+        KIND_REPLAY => Some(JournalEntry::Replay {
             key,
-            stats: ReplayStats::decode(&mut r).ok()?,
-        },
-        _ => return None,
-    };
-    Some((entry, pos + 9 + len))
+            stats: ReplayStats::decode(&mut payload).ok()?,
+        }),
+        _ => None,
+    }
 }
 
 #[cfg(test)]
@@ -325,6 +314,29 @@ mod tests {
             "a flipped bit must kill at least the record holding it"
         );
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn every_cut_recovers_exactly_the_records_before_it() {
+        let path = tmp("everycut");
+        let mut j = SweepJournal::create(&path).unwrap();
+        let mut ends = vec![8];
+        for key in ["a", "bb", "ccc"] {
+            j.append_replay(key, &ReplayStats::default()).unwrap();
+            ends.push(std::fs::metadata(&path).unwrap().len() as usize);
+        }
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        for cut in 0..=bytes.len() {
+            let Ok((entries, valid_end)) = recover(&bytes[..cut]) else {
+                assert!(cut < 8, "cut {cut} after the header is not recovery");
+                continue;
+            };
+            let whole = ends.iter().filter(|&&end| end <= cut).count() - 1;
+            let keys: Vec<&str> = entries.iter().map(|e| e.key()).collect();
+            assert_eq!(keys, ["a", "bb", "ccc"][..whole], "cut {cut}");
+            assert_eq!(valid_end, ends[whole], "cut {cut}");
+        }
     }
 
     #[test]

@@ -46,8 +46,11 @@
 //! study. Truncation of a *finished* stream (declared count not
 //! reached) is likewise reported as `Corrupt`; a stream abandoned
 //! without [`TraceWriter::finish`] still reads to EOF, with only its
-//! final partial chunk unverified.
+//! final partial chunk unverified, and a torn last record is `Corrupt`
+//! too. [`TraceWriter`] is the one writer of this layout and
+//! [`TraceStream`] its one reader; [`Trace::read_from`] drains a stream.
 
+use crate::stream::TraceStream;
 use critmem_common::crc32::Crc32;
 use critmem_common::{AccessKind, CoreId, CpuCycle, Criticality, MemRequest, PhysAddr, ReqId};
 use critmem_dram::{DramConfig, Interleaving};
@@ -59,7 +62,7 @@ pub const MAGIC: [u8; 4] = *b"CMTR";
 /// Current format version.
 pub const VERSION: u16 = 2;
 /// `record_count` placeholder while a stream is still being written.
-const COUNT_STREAMING: u64 = u64::MAX;
+pub(crate) const COUNT_STREAMING: u64 = u64::MAX;
 /// Encoded size of one record in bytes.
 pub const RECORD_BYTES: usize = 42;
 /// Records covered by each interleaved CRC-32 (version 2).
@@ -228,11 +231,6 @@ impl Fingerprint {
             preset,
         })
     }
-
-    /// Encoded byte length of this fingerprint.
-    fn encoded_len(&self) -> u64 {
-        (2 + 8 + 8 + 4 + 8 + 8 + 2 + self.preset.len()) as u64
-    }
 }
 
 fn interleaving_tag(i: Interleaving) -> u8 {
@@ -256,14 +254,14 @@ fn write_string<W: Write>(w: &mut W, s: &str) -> io::Result<()> {
     w.write_all(s.as_bytes())
 }
 
-fn read_string<R: Read>(r: &mut R) -> Result<String, TraceError> {
+pub(crate) fn read_string<R: Read>(r: &mut R) -> Result<String, TraceError> {
     let len = u16::from_le_bytes(read_array(r)?) as usize;
     let mut buf = vec![0u8; len];
     r.read_exact(&mut buf)?;
     String::from_utf8(buf).map_err(|_| TraceError::Corrupt("non-UTF-8 string".into()))
 }
 
-fn read_array<R: Read, const N: usize>(r: &mut R) -> Result<[u8; N], TraceError> {
+pub(crate) fn read_array<R: Read, const N: usize>(r: &mut R) -> Result<[u8; N], TraceError> {
     let mut buf = [0u8; N];
     r.read_exact(&mut buf)?;
     Ok(buf)
@@ -315,7 +313,7 @@ impl TraceRecord {
             .with_issue_cycle(self.issued_at)
     }
 
-    fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
+    fn encode(&self) -> [u8; RECORD_BYTES] {
         let mut buf = [0u8; RECORD_BYTES];
         buf[0..8].copy_from_slice(&self.enqueue_cycle.to_le_bytes());
         buf[8..16].copy_from_slice(&self.issued_at.to_le_bytes());
@@ -328,11 +326,10 @@ impl TraceRecord {
             AccessKind::Write => 1,
             AccessKind::Prefetch => 2,
         };
-        w.write_all(&buf)
+        buf
     }
 
-    pub(crate) fn read_from<R: Read>(r: &mut R) -> Result<Self, TraceError> {
-        let buf: [u8; RECORD_BYTES] = read_array(r)?;
+    pub(crate) fn decode(buf: &[u8; RECORD_BYTES]) -> Result<Self, TraceError> {
         let word = |i: usize| u64::from_le_bytes(buf[i..i + 8].try_into().unwrap());
         let kind = match buf[41] {
             0 => AccessKind::Read,
@@ -373,13 +370,11 @@ impl<W: Write + Seek> TraceWriter<W> {
     ///
     /// Propagates I/O failures.
     pub fn new(mut w: W, fingerprint: &Fingerprint, source: &str) -> Result<Self, TraceError> {
-        let start = w.stream_position()?;
         w.write_all(&MAGIC)?;
         w.write_all(&VERSION.to_le_bytes())?;
         fingerprint.write_to(&mut w)?;
         write_string(&mut w, source)?;
-        let count_offset = start + 4 + 2 + fingerprint.encoded_len() + 2 + source.len() as u64;
-        debug_assert_eq!(w.stream_position()?, count_offset);
+        let count_offset = w.stream_position()?;
         w.write_all(&COUNT_STREAMING.to_le_bytes())?;
         Ok(TraceWriter {
             w,
@@ -397,8 +392,7 @@ impl<W: Write + Seek> TraceWriter<W> {
     ///
     /// Propagates I/O failures.
     pub fn append(&mut self, rec: &TraceRecord) -> Result<(), TraceError> {
-        let mut buf = [0u8; RECORD_BYTES];
-        rec.write_to(&mut &mut buf[..])?;
+        let buf = rec.encode();
         self.w.write_all(&buf)?;
         self.chunk_crc.update(&buf);
         self.count += 1;
@@ -440,181 +434,6 @@ impl<W: Write + Seek> TraceWriter<W> {
     }
 }
 
-/// A parsed CMTR header: fingerprint, provenance, and declared record
-/// count (`None` when the stream was abandoned without
-/// [`TraceWriter::finish`]).
-pub(crate) struct Header {
-    pub(crate) fingerprint: Fingerprint,
-    pub(crate) source: String,
-    pub(crate) declared: Option<u64>,
-}
-
-/// Parses the magic, version, fingerprint, source label, and record
-/// count off the front of a CMTR stream, leaving `r` positioned at the
-/// first record. Shared by the record-at-a-time [`TraceReader`] and the
-/// chunk-at-a-time [`crate::stream::TraceStream`].
-pub(crate) fn read_header<R: Read>(r: &mut R) -> Result<Header, TraceError> {
-    let magic: [u8; 4] = read_array(r)?;
-    if magic != MAGIC {
-        return Err(TraceError::BadMagic);
-    }
-    let version = u16::from_le_bytes(read_array(r)?);
-    if version != VERSION {
-        return Err(TraceError::UnsupportedVersion(version));
-    }
-    let fingerprint = Fingerprint::read_from(r)?;
-    let source = read_string(r)?;
-    let count = u64::from_le_bytes(read_array(r)?);
-    Ok(Header {
-        fingerprint,
-        source,
-        declared: (count != COUNT_STREAMING).then_some(count),
-    })
-}
-
-/// Streaming trace reader.
-///
-/// Verifies the interleaved chunk CRCs as it goes: a flipped bit in a
-/// record surfaces as [`TraceError::Corrupt`] no later than the end of
-/// its 256-record chunk.
-pub struct TraceReader<R: Read> {
-    r: R,
-    fingerprint: Fingerprint,
-    source: String,
-    remaining: Option<u64>,
-    chunk_crc: Crc32,
-    in_chunk: usize,
-    tail_checked: bool,
-}
-
-/// Re-badges an EOF inside a *finished* stream: the header promised
-/// more bytes, so this is data loss, not a normal end of stream.
-fn eof_is_corrupt(e: TraceError, what: &str) -> TraceError {
-    match e {
-        TraceError::Io(ref io) if io.kind() == io::ErrorKind::UnexpectedEof => {
-            TraceError::Corrupt(format!("stream truncated mid-{what}"))
-        }
-        other => other,
-    }
-}
-
-impl<R: Read> TraceReader<R> {
-    /// Parses the header.
-    ///
-    /// # Errors
-    ///
-    /// Fails on bad magic, unsupported version, or I/O errors.
-    pub fn new(mut r: R) -> Result<Self, TraceError> {
-        let header = read_header(&mut r)?;
-        Ok(TraceReader {
-            r,
-            fingerprint: header.fingerprint,
-            source: header.source,
-            remaining: header.declared,
-            chunk_crc: Crc32::new(),
-            in_chunk: 0,
-            tail_checked: false,
-        })
-    }
-
-    /// The capturing system's fingerprint.
-    pub fn fingerprint(&self) -> &Fingerprint {
-        &self.fingerprint
-    }
-
-    /// The workload label recorded at capture time.
-    pub fn source(&self) -> &str {
-        &self.source
-    }
-
-    /// Declared record count, if the stream was finished cleanly.
-    pub fn declared_count(&self) -> Option<u64> {
-        self.remaining
-    }
-
-    /// Checks a chunk CRC against the bytes folded in so far. In a
-    /// finished stream a missing or wrong CRC is corruption; in an
-    /// abandoned stream a missing CRC is just the torn end of the data.
-    fn verify_chunk_crc(&mut self) -> Result<bool, TraceError> {
-        let stored = match read_array::<_, 4>(&mut self.r) {
-            Ok(b) => u32::from_le_bytes(b),
-            Err(e) if self.remaining.is_some() => return Err(eof_is_corrupt(e, "chunk checksum")),
-            Err(TraceError::Io(io)) if io.kind() == io::ErrorKind::UnexpectedEof => {
-                return Ok(false)
-            }
-            Err(e) => return Err(e),
-        };
-        let computed = self.chunk_crc.finish();
-        if stored != computed {
-            return Err(TraceError::Corrupt(format!(
-                "chunk checksum mismatch (stored {stored:#010X}, computed {computed:#010X})"
-            )));
-        }
-        self.chunk_crc = Crc32::new();
-        self.in_chunk = 0;
-        Ok(true)
-    }
-
-    /// Reads the next record; `Ok(None)` at end of trace.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceError::Corrupt`] on a truncated finished stream or a
-    /// chunk-checksum mismatch; I/O errors otherwise.
-    pub fn next_record(&mut self) -> Result<Option<TraceRecord>, TraceError> {
-        if self.in_chunk == CHUNK_RECORDS && !self.verify_chunk_crc()? {
-            return Ok(None);
-        }
-        let buf: [u8; RECORD_BYTES] = match self.remaining {
-            Some(0) => {
-                // Finished stream fully consumed: the final partial
-                // chunk's CRC is still pending.
-                if self.in_chunk > 0 && !self.tail_checked {
-                    self.tail_checked = true;
-                    self.verify_chunk_crc()?;
-                }
-                return Ok(None);
-            }
-            Some(ref mut n) => {
-                *n -= 1;
-                read_array(&mut self.r).map_err(|e| eof_is_corrupt(e, "record"))?
-            }
-            None => {
-                // Unfinished stream: probe for EOF before committing to
-                // a full record read.
-                let mut first = [0u8; 1];
-                match self.r.read(&mut first)? {
-                    0 => return Ok(None),
-                    _ => {
-                        let mut rest = [0u8; RECORD_BYTES - 1];
-                        self.r.read_exact(&mut rest)?;
-                        let mut buf = [0u8; RECORD_BYTES];
-                        buf[0] = first[0];
-                        buf[1..].copy_from_slice(&rest);
-                        buf
-                    }
-                }
-            }
-        };
-        self.chunk_crc.update(&buf);
-        self.in_chunk += 1;
-        TraceRecord::read_from(&mut &buf[..]).map(Some)
-    }
-
-    /// Reads all remaining records.
-    ///
-    /// # Errors
-    ///
-    /// Fails on truncated or corrupt records.
-    pub fn read_all(&mut self) -> Result<Vec<TraceRecord>, TraceError> {
-        let mut out = Vec::new();
-        while let Some(rec) = self.next_record()? {
-            out.push(rec);
-        }
-        Ok(out)
-    }
-}
-
 /// A fully materialized trace: fingerprint + provenance + records.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
@@ -640,17 +459,21 @@ impl Trace {
         tw.finish()
     }
 
-    /// Deserializes a trace.
+    /// Deserializes a trace by draining a [`TraceStream`], so each
+    /// chunk's CRC is checked before any of its records is kept.
     ///
     /// # Errors
     ///
-    /// Fails on malformed streams.
+    /// Fails on malformed streams, as [`TraceStream::next_record`] does.
     pub fn read_from<R: Read>(r: R) -> Result<Self, TraceError> {
-        let mut tr = TraceReader::new(r)?;
-        let records = tr.read_all()?;
+        let mut stream = TraceStream::new(r)?;
+        let mut records = Vec::new();
+        while let Some(rec) = stream.next_record()? {
+            records.push(rec);
+        }
         Ok(Trace {
-            fingerprint: tr.fingerprint.clone(),
-            source: tr.source.clone(),
+            fingerprint: stream.fingerprint().clone(),
+            source: stream.source().to_owned(),
             records,
         })
     }
@@ -713,13 +536,27 @@ mod tests {
             .collect()
     }
 
+    fn sample_trace(source: &str) -> Trace {
+        Trace {
+            fingerprint: sample_fingerprint(),
+            source: source.into(),
+            records: sample_records(),
+        }
+    }
+
+    /// The first `n` sample records written without `finish`.
+    fn abandoned_bytes(n: usize) -> Vec<u8> {
+        let mut tw =
+            TraceWriter::new(Cursor::new(Vec::new()), &sample_fingerprint(), "art").unwrap();
+        for r in &sample_records()[..n] {
+            tw.append(r).unwrap();
+        }
+        tw.w.into_inner()
+    }
+
     #[test]
     fn in_memory_round_trip_is_lossless() {
-        let trace = Trace {
-            fingerprint: sample_fingerprint(),
-            source: "swim".into(),
-            records: sample_records(),
-        };
+        let trace = sample_trace("swim");
         let bytes = trace.to_bytes().unwrap();
         let back = Trace::read_from(Cursor::new(&bytes)).unwrap();
         assert_eq!(trace, back);
@@ -727,11 +564,7 @@ mod tests {
 
     #[test]
     fn encoding_is_compact() {
-        let trace = Trace {
-            fingerprint: sample_fingerprint(),
-            source: "swim".into(),
-            records: sample_records(),
-        };
+        let trace = sample_trace("swim");
         let bytes = trace.to_bytes().unwrap();
         // Fixed 42 B per record plus a small header.
         assert!(bytes.len() < 100 * RECORD_BYTES + 128);
@@ -739,14 +572,10 @@ mod tests {
 
     #[test]
     fn streaming_reader_matches_bulk_reader() {
-        let trace = Trace {
-            fingerprint: sample_fingerprint(),
-            source: "mg".into(),
-            records: sample_records(),
-        };
+        let trace = sample_trace("mg");
         let bytes = trace.to_bytes().unwrap();
-        let mut tr = TraceReader::new(Cursor::new(&bytes)).unwrap();
-        assert_eq!(tr.declared_count(), Some(100));
+        let mut tr = TraceStream::new(Cursor::new(&bytes)).unwrap();
+        assert_eq!(tr.declared_remaining(), Some(100));
         assert_eq!(tr.source(), "mg");
         let mut streamed = Vec::new();
         while let Some(rec) = tr.next_record().unwrap() {
@@ -757,17 +586,29 @@ mod tests {
 
     #[test]
     fn unfinished_stream_reads_to_eof() {
-        let fp = sample_fingerprint();
-        let mut tw = TraceWriter::new(Cursor::new(Vec::new()), &fp, "art").unwrap();
         let recs = sample_records();
-        for r in &recs[..7] {
-            tw.append(r).unwrap();
-        }
         // Abandon without finish(): count stays at the placeholder.
-        let bytes = tw.w.into_inner();
-        let mut tr = TraceReader::new(Cursor::new(&bytes)).unwrap();
-        assert_eq!(tr.declared_count(), None);
-        assert_eq!(tr.read_all().unwrap(), recs[..7].to_vec());
+        let bytes = abandoned_bytes(7);
+        let mut tr = TraceStream::new(Cursor::new(&bytes)).unwrap();
+        assert_eq!(tr.declared_remaining(), None);
+        let mut streamed = Vec::new();
+        while let Some(rec) = tr.next_record().unwrap() {
+            streamed.push(rec);
+        }
+        assert_eq!(streamed, recs[..7].to_vec());
+        assert_eq!(
+            Trace::read_from(Cursor::new(&bytes)).unwrap().records,
+            streamed
+        );
+    }
+
+    #[test]
+    fn torn_last_record_of_abandoned_trace_is_corrupt() {
+        let mut bytes = abandoned_bytes(7);
+        bytes.truncate(bytes.len() - RECORD_BYTES / 2);
+        let err = Trace::read_from(Cursor::new(&bytes)).unwrap_err();
+        assert!(matches!(err, TraceError::Corrupt(_)), "{err:?}");
+        assert!(err.to_string().contains("torn record"), "{err}");
     }
 
     #[test]
@@ -791,11 +632,7 @@ mod tests {
 
     #[test]
     fn truncated_record_is_corrupt() {
-        let trace = Trace {
-            fingerprint: sample_fingerprint(),
-            source: "x".into(),
-            records: sample_records(),
-        };
+        let trace = sample_trace("x");
         let bytes = trace.to_bytes().unwrap();
         let err = Trace::read_from(Cursor::new(&bytes[..bytes.len() - 5])).unwrap_err();
         assert!(matches!(err, TraceError::Corrupt(_)), "{err:?}");
@@ -804,11 +641,7 @@ mod tests {
 
     #[test]
     fn truncated_chunk_checksum_is_corrupt() {
-        let trace = Trace {
-            fingerprint: sample_fingerprint(),
-            source: "x".into(),
-            records: sample_records(),
-        };
+        let trace = sample_trace("x");
         let bytes = trace.to_bytes().unwrap();
         // Chop into the trailing 4-byte chunk CRC itself.
         let err = Trace::read_from(Cursor::new(&bytes[..bytes.len() - 2])).unwrap_err();
@@ -818,11 +651,7 @@ mod tests {
 
     #[test]
     fn bit_flip_in_a_record_is_detected() {
-        let trace = Trace {
-            fingerprint: sample_fingerprint(),
-            source: "x".into(),
-            records: sample_records(),
-        };
+        let trace = sample_trace("x");
         let clean = trace.to_bytes().unwrap();
         // Flip one bit in every record byte position of the last record
         // (covers both payload bytes and the enum-tag byte).

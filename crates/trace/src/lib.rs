@@ -19,7 +19,7 @@
 //!    replay's [`ReplayConfig`] and [`ReplayStats`] and rebuilds a
 //!    capture's DRAM configuration ([`Fingerprint::dram_config`]).
 //!
-//! The binary format ([`Trace`], [`TraceWriter`], [`TraceReader`]) is
+//! The binary format ([`Trace`], [`TraceWriter`], [`TraceStream`]) is
 //! compact (42 B/record), versioned, and self-describing: the header
 //! carries a [`Fingerprint`] of the capturing topology, and
 //! [`Fingerprint::check_compatible`] diagnoses a mismatch field by
@@ -64,7 +64,7 @@ pub mod sink;
 pub mod stream;
 pub mod synth;
 
-pub use format::{Fingerprint, Trace, TraceError, TraceReader, TraceRecord, TraceWriter};
+pub use format::{Fingerprint, Trace, TraceError, TraceRecord, TraceWriter};
 pub use replay::{ReplayConfig, ReplayStats};
 pub use sink::TraceSink;
 pub use stream::{RequestSource, TraceSource, TraceStream, CHUNK_BYTES};

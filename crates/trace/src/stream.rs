@@ -36,11 +36,12 @@
 //! ```
 
 use crate::format::{
-    read_header, Fingerprint, Trace, TraceError, TraceRecord, CHUNK_RECORDS, RECORD_BYTES,
+    read_array, read_string, Fingerprint, Trace, TraceError, TraceRecord, CHUNK_RECORDS,
+    COUNT_STREAMING, MAGIC, RECORD_BYTES, VERSION,
 };
-use critmem_common::crc32::Crc32;
+use critmem_common::crc32;
 use std::fs::File;
-use std::io::{self, BufReader, Read};
+use std::io::{BufReader, Read};
 use std::path::Path;
 
 /// On-disk size of one full chunk: 256 records plus the trailing
@@ -145,18 +146,28 @@ impl TraceStream<BufReader<File>> {
 }
 
 impl<R: Read> TraceStream<R> {
-    /// Parses the header and prepares the chunk buffer.
+    /// Parses the header (magic, version, fingerprint, source label
+    /// and record count) and prepares the chunk buffer.
     ///
     /// # Errors
     ///
     /// Fails on bad magic, unsupported version, or I/O errors.
     pub fn new(mut r: R) -> Result<Self, TraceError> {
-        let header = read_header(&mut r)?;
+        if read_array(&mut r)? != MAGIC {
+            return Err(TraceError::BadMagic);
+        }
+        let version = u16::from_le_bytes(read_array(&mut r)?);
+        if version != VERSION {
+            return Err(TraceError::UnsupportedVersion(version));
+        }
+        let fingerprint = Fingerprint::read_from(&mut r)?;
+        let source = read_string(&mut r)?;
+        let count = u64::from_le_bytes(read_array(&mut r)?);
         Ok(TraceStream {
             r,
-            fingerprint: header.fingerprint,
-            source: header.source,
-            remaining: header.declared,
+            fingerprint,
+            source,
+            remaining: (count != COUNT_STREAMING).then_some(count),
             buf: Vec::with_capacity(CHUNK_BYTES),
             rec_in_buf: 0,
             next_rec: 0,
@@ -202,64 +213,52 @@ impl<R: Read> TraceStream<R> {
     /// Reads the next chunk into the reusable buffer and verifies its
     /// CRC. Returns `false` when the stream is exhausted.
     fn refill(&mut self) -> Result<bool, TraceError> {
-        if self.done {
-            return Ok(false);
-        }
         let want_records = match self.remaining {
-            Some(0) => {
-                self.done = true;
-                return Ok(false);
-            }
+            _ if self.done => return Ok(false),
+            Some(0) => return Ok(false),
             Some(n) => n.min(CHUNK_RECORDS as u64) as usize,
             None => CHUNK_RECORDS,
         };
-        let want = want_records * RECORD_BYTES + 4;
-        self.buf.resize(want, 0);
-        let got = read_full(&mut self.r, &mut self.buf)?;
+        let body = want_records * RECORD_BYTES;
+        self.buf.clear();
+        let got = (&mut self.r)
+            .take(body as u64 + 4)
+            .read_to_end(&mut self.buf)?;
         self.peak_resident = self.peak_resident.max(got);
-        let verified_records = if let Some(n) = self.remaining.as_mut() {
-            // Finished stream: the header promised these bytes.
-            if got < want {
-                return Err(TraceError::Corrupt(format!(
-                    "stream truncated mid-chunk ({got} of {want} bytes)"
-                )));
-            }
-            *n -= want_records as u64;
-            Some(want_records)
-        } else if got == want {
-            Some(CHUNK_RECORDS)
-        } else {
-            // Abandoned stream: EOF lands wherever the capture died.
-            self.done = true;
-            if got == 0 {
-                return Ok(false);
-            }
-            let body = CHUNK_RECORDS * RECORD_BYTES;
-            if got >= body || got % RECORD_BYTES == 0 {
-                // Torn before (or inside) the chunk CRC: every complete
-                // record is usable, just unverified.
-                self.rec_in_buf = got.min(body) / RECORD_BYTES;
-                self.next_rec = 0;
-                self.chunks_read += 1;
-                return Ok(true);
-            }
-            return Err(TraceError::Corrupt(format!(
-                "torn record at end of unfinished stream ({} trailing bytes)",
-                got % RECORD_BYTES
-            )));
-        };
-        if let Some(records) = verified_records {
-            let body = records * RECORD_BYTES;
-            let mut crc = Crc32::new();
-            crc.update(&self.buf[..body]);
-            let computed = crc.finish();
-            let stored = u32::from_le_bytes(self.buf[body..body + 4].try_into().unwrap());
+        if got == body + 4 {
+            let computed = crc32::checksum(&self.buf[..body]);
+            let stored = u32::from_le_bytes(self.buf[body..].try_into().expect("4 CRC bytes"));
             if stored != computed {
                 return Err(TraceError::Corrupt(format!(
                     "chunk checksum mismatch (stored {stored:#010X}, computed {computed:#010X})"
                 )));
             }
-            self.rec_in_buf = records;
+            if let Some(n) = self.remaining.as_mut() {
+                *n -= want_records as u64;
+            }
+            self.rec_in_buf = want_records;
+        } else if self.remaining.is_some() {
+            // Finished stream: the header promised these bytes.
+            let part = if got >= body { " checksum" } else { "" };
+            return Err(TraceError::Corrupt(format!(
+                "stream truncated mid-chunk{part} ({got} of {} bytes)",
+                body + 4
+            )));
+        } else {
+            // Abandoned stream: EOF lands wherever the capture died. Torn
+            // before (or inside) the chunk CRC, every complete record is
+            // usable, just unverified.
+            self.done = true;
+            if got < body && got % RECORD_BYTES != 0 {
+                return Err(TraceError::Corrupt(format!(
+                    "torn record at end of unfinished stream ({} trailing bytes)",
+                    got % RECORD_BYTES
+                )));
+            }
+            if got == 0 {
+                return Ok(false);
+            }
+            self.rec_in_buf = got.min(body) / RECORD_BYTES;
         }
         self.next_rec = 0;
         self.chunks_read += 1;
@@ -279,7 +278,8 @@ impl<R: Read> TraceStream<R> {
             return Ok(None);
         }
         let off = self.next_rec * RECORD_BYTES;
-        let rec = TraceRecord::read_from(&mut &self.buf[off..off + RECORD_BYTES])?;
+        let bytes = self.buf[off..off + RECORD_BYTES].try_into();
+        let rec = TraceRecord::decode(bytes.expect("the buffer holds whole records"))?;
         self.next_rec += 1;
         self.records_read += 1;
         Ok(Some(rec))
@@ -307,28 +307,10 @@ impl<R: Read> std::fmt::Debug for TraceStream<R> {
     }
 }
 
-/// Reads until `buf` is full or EOF; returns the byte count (unlike
-/// `read_exact`, a short read is reported, not an error).
-fn read_full<R: Read>(r: &mut R, mut buf: &mut [u8]) -> io::Result<usize> {
-    let mut got = 0;
-    while !buf.is_empty() {
-        match r.read(buf) {
-            Ok(0) => break,
-            Ok(n) => {
-                got += n;
-                buf = &mut buf[n..];
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(got)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::{TraceWriter, VERSION};
+    use crate::format::TraceWriter;
     use critmem_common::AccessKind;
     use critmem_dram::DramConfig;
     use std::io::Cursor;
@@ -374,13 +356,9 @@ mod tests {
         tw.w.into_inner()
     }
 
+    /// Every record, through the stream [`Trace::read_from`] drains.
     fn drain(bytes: &[u8]) -> Result<Vec<TraceRecord>, TraceError> {
-        let mut s = TraceStream::new(Cursor::new(bytes))?;
-        let mut out = Vec::new();
-        while let Some(rec) = s.next_record()? {
-            out.push(rec);
-        }
-        Ok(out)
+        Trace::read_from(bytes).map(|trace| trace.records)
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //! produce the identical stream, so synthesized experiments are as
 //! reproducible as replayed ones.
 //!
-//! Profiles serialize as `CMPF` artifacts (CritMem ProFile): a CRC-32
-//! framed container over a [`critmem_common::codec`] payload, in the
-//! same shape as the checkpoint (`CMCK`) artifact:
+//! Profiles serialize as `CMPF` artifacts (CritMem ProFile): the sealed
+//! CRC-32 frame of [`critmem_common::codec`] around a codec payload,
+//! shared with the checkpoint (`CMCK`) artifact and every `CMJR`
+//! journal record:
 //!
 //! ```text
 //! magic        4  b"CMPF"
@@ -59,7 +60,6 @@
 use crate::format::{Fingerprint, Trace, TraceError, TraceRecord};
 use crate::stream::RequestSource;
 use critmem_common::codec::{ByteReader, ByteWriter, CodecError};
-use critmem_common::crc32::Crc32;
 use critmem_common::{AccessKind, SmallRng};
 use std::path::Path;
 
@@ -261,16 +261,10 @@ impl TrafficProfile {
         for c in &self.cores {
             c.encode(&mut payload);
         }
-        let payload = payload.into_bytes();
-        let mut crc = Crc32::new();
-        crc.update(&payload);
-        let mut out = Vec::with_capacity(payload.len() + 16);
-        out.extend_from_slice(&PROFILE_MAGIC);
-        out.extend_from_slice(&PROFILE_VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out.extend_from_slice(&crc.finish().to_le_bytes());
-        out
+        let mut out = ByteWriter::new();
+        out.put_header(&PROFILE_MAGIC, PROFILE_VERSION);
+        out.put_sealed(&payload.into_bytes());
+        out.into_bytes()
     }
 
     /// Deserializes a CMPF artifact.
@@ -280,37 +274,11 @@ impl TrafficProfile {
     /// [`TraceError::Corrupt`] on bad magic, unsupported version,
     /// truncation, checksum mismatch, or a malformed payload.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, TraceError> {
-        let corrupt = |msg: String| TraceError::Corrupt(msg);
-        if bytes.len() < 12 || bytes[..4] != PROFILE_MAGIC {
-            return Err(corrupt("not a critmem profile (bad CMPF magic)".into()));
-        }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-        if version != PROFILE_VERSION {
-            return Err(corrupt(format!(
-                "unsupported profile version {version} (reader supports {PROFILE_VERSION})"
-            )));
-        }
-        let len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
-        let Some(payload) = bytes.get(12..12 + len) else {
-            return Err(corrupt(format!(
-                "profile truncated (payload wants {len} bytes, {} present)",
-                bytes.len().saturating_sub(12)
-            )));
-        };
-        let Some(stored) = bytes
-            .get(12 + len..12 + len + 4)
-            .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-        else {
-            return Err(corrupt("profile truncated (checksum missing)".into()));
-        };
-        let mut crc = Crc32::new();
-        crc.update(payload);
-        let computed = crc.finish();
-        if stored != computed {
-            return Err(corrupt(format!(
-                "profile checksum mismatch (stored {stored:#010X}, computed {computed:#010X})"
-            )));
-        }
+        let mut frame = ByteReader::new(bytes);
+        let payload = frame
+            .check_header("profile", &PROFILE_MAGIC, PROFILE_VERSION)
+            .and_then(|()| frame.get_sealed("profile"))
+            .map_err(|e| TraceError::Corrupt(e.to_string()))?;
         let decode_err = |e: CodecError| TraceError::Corrupt(format!("malformed profile: {e}"));
         let mut r = ByteReader::new(payload);
         let fp_blob = r.get_bytes().map_err(decode_err)?;
@@ -606,9 +574,20 @@ mod tests {
         v[4] = 0xFF;
         let err = TrafficProfile::from_bytes(&v).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
-        // Truncation.
+        // Truncation, at every length and by a hostile length field.
         let err = TrafficProfile::from_bytes(&bytes[..bytes.len() - 9]).unwrap_err();
         assert!(err.to_string().contains("truncated"), "{err}");
+        for cut in 0..bytes.len() {
+            let err = TrafficProfile::from_bytes(&bytes[..cut]).unwrap_err();
+            assert!(matches!(err, TraceError::Corrupt(_)), "cut {cut}: {err:?}");
+        }
+        let len = bytes.len() as u32 - 16;
+        for bad in [u32::MAX, len + 1] {
+            let mut hostile = bytes.clone();
+            hostile[8..12].copy_from_slice(&bad.to_le_bytes());
+            let err = TrafficProfile::from_bytes(&hostile).unwrap_err();
+            assert!(err.to_string().contains("truncated"), "length {bad}: {err}");
+        }
         // Bit flip in the payload.
         let mut flip = bytes.clone();
         let mid = 12 + (bytes.len() - 16) / 2;

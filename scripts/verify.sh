@@ -79,6 +79,26 @@ echo "== checkpoint warm-start smoke test"
 ./target/release/repro --scale quick --jobs 2 --warm-cycles 20000 fig10 > "$tmp/fig10.warm2" 2>/dev/null
 diff "$tmp/fig10.warm1" "$tmp/fig10.warm2"
 
+echo "== torn artifact smoke test (typed errors, exit 1, never a panic)"
+# Cut 3 bytes off the trace, checkpoint and profile written above:
+# each decoder must name the damage and exit 1 (a panic exits 101).
+for ext in cmtr cmck cmpf; do
+  head -c -3 "$tmp/swim.$ext" > "$tmp/torn.$ext"
+done
+expect_torn() {
+  local rc=0
+  "$@" > /dev/null 2> "$tmp/torn.err" || rc=$?
+  if [ "$rc" -ne 1 ] || ! grep -q 'truncated' "$tmp/torn.err"; then
+    echo "torn artifact smoke: '$*' exited $rc, expected 1 with 'truncated':" >&2
+    cat "$tmp/torn.err" >&2
+    exit 1
+  fi
+}
+expect_torn ./target/release/repro trace replay "$tmp/torn.cmtr" --sched fr-fcfs
+expect_torn ./target/release/repro --scale quick checkpoint restore "$tmp/torn.cmck" swim \
+  --sched casras-crit --pred maxstalltime
+expect_torn ./target/release/repro trace synth "$tmp/torn.cmpf" --requests 1000
+
 echo "== stats export smoke test (JSONL, serial == --jobs 2 == --no-skip-ahead)"
 ./target/release/repro --scale quick --jobs 1 stats swim --epoch 20000 > "$tmp/stats.serial" 2>/dev/null
 ./target/release/repro --scale quick --jobs 2 stats swim --epoch 20000 > "$tmp/stats.jobs2" 2>/dev/null
