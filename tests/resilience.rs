@@ -92,6 +92,45 @@ fn unknown_workload_cell_is_contained() {
     );
 }
 
+/// A shared warmup that fails (here on an unknown workload) is recorded
+/// once, and its cells fall back to cold runs, which fail on their own.
+/// A second cell on the same workload must not re-run the failed
+/// warmup. Direct calls and the pooled engine agree on all of it.
+#[test]
+fn failed_warmup_is_recorded_once_at_every_job_count() {
+    let sweep = |jobs: usize| {
+        let mut r = Runner::new(tiny_scale());
+        r.jobs = jobs;
+        r.warm_cycles = Some(1_000);
+        let bogus = AgentMix::Parallel("not-an-app");
+        r.run_parallel(|r| {
+            for sched in [SchedulerKind::FrFcfs, SchedulerKind::CasRasCrit] {
+                let cfg = r.parallel_cfg().with_scheduler(sched);
+                let stats = r.run_keyed(format!("bogus|{}", sched.name()), cfg, &bogus);
+                assert_eq!(stats.cycles, 1, "placeholder for the failed cell");
+            }
+        });
+        let mut failures: Vec<String> = r.failures().iter().map(|f| f.key.clone()).collect();
+        assert_eq!(failures.len(), 3, "one warmup + two cells: {failures:?}");
+        assert_eq!(
+            failures.iter().filter(|k| k.starts_with("warmup:")).count(),
+            1,
+            "{failures:?}"
+        );
+        assert!(
+            r.failures()
+                .iter()
+                .all(|f| matches!(f.error, SimError::UnknownWorkload { .. })),
+            "{:?}",
+            r.failures()
+        );
+        assert_eq!(r.runs_executed(), 3, "the warmup once, then each cell");
+        failures.sort();
+        (failures, r.memo_snapshot(), r.runs_executed())
+    };
+    assert_eq!(sweep(1), sweep(4));
+}
+
 /// A journaled sweep resumes without re-running completed cells and
 /// reproduces the identical memo table.
 #[test]
