@@ -12,7 +12,7 @@ use critmem_common::SimError;
 use critmem_sched::SchedulerKind;
 use critmem_trace::{ReplayConfig, ReplayStats, Trace, TraceSource};
 use critmem_workloads::PARALLEL_APPS;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// How big each simulation is. The paper runs 500 M instructions per
@@ -64,41 +64,47 @@ impl Scale {
     }
 }
 
-/// One unit of deferred work recorded while planning (see
-/// [`Runner::run_parallel`]): an execution-driven run or a trace
-/// capture. Both occupy a "distinct simulation" slot.
-enum PlannedJob {
+/// One sweep cell for [`Runner::execute`]: the memo key its result is
+/// stored under, and the simulation that produces it.
+struct Job {
+    key: String,
+    work: Work,
+}
+
+enum Work {
+    /// A shared warmup to `cycles` under the baseline configuration
+    /// `cfg`, checkpointed for every cell of its platform.
+    Warmup {
+        cfg: SystemConfig,
+        workload: AgentMix,
+        cycles: u64,
+    },
+    /// An execution-driven run, warm-started when its warmup succeeded.
     Run {
-        key: String,
         cfg: SystemConfig,
         workload: AgentMix,
     },
+    /// A trace capture (always cold: the recorded request stream must
+    /// start at cycle zero).
     Capture {
-        key: String,
         app: &'static str,
         cfg: SystemConfig,
     },
+    /// A replay of `app`'s capture, which is resolved again once the
+    /// captures have settled.
+    Replay {
+        app: &'static str,
+        scheduler: SchedulerKind,
+        trace: Arc<Trace>,
+    },
 }
 
-/// A deferred trace replay (depends on its app's capture).
-struct PlannedReplay {
-    key: String,
-    app: &'static str,
-    scheduler: SchedulerKind,
-}
-
-/// The result of one executed [`PlannedJob`].
-enum JobResult {
+/// What an executed [`Job`] produced.
+enum Outcome {
+    Warmup(Checkpoint),
     Run(Box<RunStats>),
     Capture(Trace),
-}
-
-/// Work collected by a planning pass.
-#[derive(Default)]
-struct Plan {
-    seen: HashSet<String>,
-    jobs: Vec<PlannedJob>,
-    replays: Vec<PlannedReplay>,
+    Replay(ReplayStats),
 }
 
 /// One sweep cell that failed (panicked past retry, tripped the
@@ -120,8 +126,8 @@ pub struct Runner {
     pub scale: Scale,
     /// Print a progress line per fresh simulation.
     pub verbose: bool,
-    /// Worker threads for [`Runner::run_parallel`]; `1` means fully
-    /// serial (plan/execute is bypassed entirely).
+    /// Worker threads for [`Runner::run_parallel`]. With `1`, no
+    /// planning pass runs and each memo miss executes as it is met.
     pub jobs: usize,
     /// Event-driven skip-ahead ([`SystemConfig::skip_ahead`]). Results
     /// are identical by construction, so the memo keys deliberately do
@@ -146,14 +152,15 @@ pub struct Runner {
     traces: HashMap<String, Arc<Trace>>,
     replay_cache: HashMap<String, Arc<ReplayStats>>,
     replays_executed: u64,
-    planning: Option<Plan>,
+    /// The jobs a planning pass has recorded so far.
+    planning: Option<Vec<Job>>,
     failed: Vec<CellFailure>,
     journal: Option<SweepJournal>,
     /// Panic-injection hooks for the resilience tests, owned per
     /// runner so once-per-cell state never leaks across sweeps that
     /// share a process.
     hooks: FaultHooks,
-    /// Shared warmup checkpoints, keyed by warm key; `None` records a
+    /// Shared warmup checkpoints, keyed by warmup key; `None` records a
     /// failed warmup so dependent cells fall back to cold runs instead
     /// of retrying it.
     checkpoints: HashMap<String, Option<Arc<Checkpoint>>>,
@@ -223,18 +230,11 @@ impl Runner {
         }
     }
 
-    fn journal_run(&mut self, key: &str, stats: &RunStats) {
+    /// Appends one settled cell to the sweep journal, if one is
+    /// attached.
+    fn journal(&mut self, append: impl FnOnce(&mut SweepJournal) -> Result<(), SimError>) {
         if let Some(j) = &mut self.journal {
-            if let Err(e) = j.append_run(key, stats) {
-                eprintln!("warning: sweep journal write failed ({e}); journaling disabled");
-                self.journal = None;
-            }
-        }
-    }
-
-    fn journal_replay(&mut self, key: &str, stats: &ReplayStats) {
-        if let Some(j) = &mut self.journal {
-            if let Err(e) = j.append_replay(key, stats) {
+            if let Err(e) = append(j) {
                 eprintln!("warning: sweep journal write failed ({e}); journaling disabled");
                 self.journal = None;
             }
@@ -253,97 +253,28 @@ impl Runner {
         self.replays_executed
     }
 
-    /// The baseline configuration a warmup shares across every cell of
-    /// a platform: scheduler and predictor reset to the sweep-neutral
-    /// baseline (FR-FCFS, no predictor), sampling off.
-    fn warmup_cfg(cfg: &SystemConfig) -> SystemConfig {
-        let mut w = cfg.clone();
-        w.scheduler = SchedulerKind::FrFcfs;
-        w.predictor = PredictorKind::None;
-        w.sample_epoch = None;
-        w
-    }
-
-    /// Memo key of the shared warmup checkpoint a cell restores from.
-    fn warm_key(cfg: &SystemConfig, workload: &AgentMix, cycles: u64) -> String {
-        format!(
+    /// The shared warmup a run restores from. `None` means warm starts
+    /// are off or the run samples a time series (which must cover the
+    /// whole run); either way the run is cold. The warmup runs under
+    /// the sweep-neutral baseline (FR-FCFS, no predictor) and is keyed
+    /// by the platform it warms and the instruction budget.
+    fn warmup(&self, cfg: &SystemConfig, workload: &AgentMix) -> Option<Job> {
+        let cycles = self.warm_cycles.filter(|_| cfg.sample_epoch.is_none())?;
+        let mut warm = cfg.clone();
+        warm.scheduler = SchedulerKind::FrFcfs;
+        warm.predictor = PredictorKind::None;
+        let key = format!(
             "warmup:{:08x}@{}+warm{cycles}",
-            Self::warmup_cfg(cfg).platform_fingerprint(workload),
+            warm.platform_fingerprint(workload),
             cfg.instructions_per_core,
-        )
-    }
-
-    /// Runs one warmup to the boundary (shared by the serial and pooled
-    /// paths).
-    fn warmup_cell(
-        cfg: &SystemConfig,
-        workload: &AgentMix,
-        cycles: u64,
-    ) -> Result<Checkpoint, SimError> {
-        Session::new(Self::warmup_cfg(cfg), workload)
-            .checkpoint_at(cycles)
-            .run_to_checkpoint()
-    }
-
-    /// Recalls or executes the shared warmup checkpoint for a cell
-    /// (serial path). `None` means warm starts are off, the cell
-    /// samples a time series (which must cover the whole run), or the
-    /// warmup failed — in every case the cell runs cold.
-    fn warm_checkpoint(
-        &mut self,
-        cfg: &SystemConfig,
-        workload: &AgentMix,
-    ) -> Option<Arc<Checkpoint>> {
-        let cycles = self.warm_cycles?;
-        if cfg.sample_epoch.is_some() {
-            return None;
-        }
-        let key = Self::warm_key(cfg, workload, cycles);
-        if let Some(hit) = self.checkpoints.get(&key) {
-            return hit.clone();
-        }
-        if self.verbose {
-            eprintln!("  [warmup] {key}");
-        }
-        let outcome = Self::isolated_cell(&self.hooks, &key, || {
-            Self::warmup_cell(cfg, workload, cycles)
-        });
-        self.runs_executed += 1;
-        match outcome {
-            Ok(ckpt) => {
-                let ckpt = Arc::new(ckpt);
-                self.checkpoints.insert(key, Some(Arc::clone(&ckpt)));
-                Some(ckpt)
-            }
-            Err(err) => {
-                self.checkpoints.insert(key.clone(), None);
-                self.record_failure(key, err);
-                None
-            }
-        }
-    }
-
-    /// Runs one execution-driven cell, warm-starting from `warm` when a
-    /// shared checkpoint is available.
-    fn run_cell(
-        cfg: &SystemConfig,
-        workload: &AgentMix,
-        warm: Option<&Arc<Checkpoint>>,
-    ) -> Result<RunStats, SimError> {
-        let session = match warm {
-            Some(ckpt) => Session::from_checkpoint(ckpt, cfg.clone(), workload),
-            None => Session::new(cfg.clone(), workload),
+        );
+        let workload = workload.clone();
+        let work = Work::Warmup {
+            cfg: warm,
+            workload,
+            cycles,
         };
-        session.run().map(|out| out.stats)
-    }
-
-    /// Captures one trace cell (always cold: the recorded request
-    /// stream must start at cycle zero).
-    fn capture_cell(cfg: &SystemConfig, app: &'static str) -> Result<Trace, SimError> {
-        Session::new(cfg.clone(), &AgentMix::Parallel(app))
-            .traced(app)
-            .run()
-            .map(|out| out.observer.into_trace())
+        Some(Job { key, work })
     }
 
     /// A sorted, comparable snapshot of the memo tables: one
@@ -373,233 +304,197 @@ impl Runner {
     /// misses return placeholder results and are recorded instead of
     /// executed — sound because experiments derive *which* runs they
     /// need from their structure (app lists, scheduler tables), never
-    /// from simulation results; (2) parallel execution of the recorded
-    /// runs, merged into the memo table in plan order (results are
+    /// from simulation results; (2) execution of the recorded jobs on
+    /// the pool, merged into the memo tables in plan order (results are
     /// keyed and the simulations are deterministic, so insertion order
     /// is irrelevant to the table contents); (3) a re-run of `f` that
     /// now hits the warm cache everywhere and therefore returns output
     /// byte-identical to a serial run.
     ///
-    /// With `jobs <= 1`, or when called reentrantly, `f` simply runs
-    /// serially.
+    /// With `jobs <= 1`, or when called reentrantly, `f` runs once and
+    /// each miss executes as it is met, through the same executor as a
+    /// plan of one.
     pub fn run_parallel<T>(&mut self, f: impl Fn(&mut Runner) -> T) -> T {
         if self.jobs <= 1 || self.planning.is_some() {
             return f(self);
         }
-        self.planning = Some(Plan::default());
+        self.planning = Some(Vec::new());
         let _ = f(self);
         let plan = self.planning.take().expect("planning state vanished");
-        self.execute_plan(plan);
+        self.execute(plan);
         f(self)
     }
 
-    /// Executes a collected plan across the worker pool and merges the
-    /// results into the memo tables.
-    fn execute_plan(&mut self, plan: Plan) {
-        // Progress lines are printed up front in plan order — the same
-        // content a serial run would emit, independent of which worker
-        // finishes first.
-        if self.verbose {
-            let mut n = self.runs_executed;
-            for job in &plan.jobs {
-                n += 1;
-                match job {
-                    PlannedJob::Run { key, .. } => eprintln!("  [run {n:>3}] {key}"),
-                    PlannedJob::Capture { key, .. } => eprintln!("  [capture] {key}"),
-                }
-            }
+    /// Records `job` during a planning pass, or executes it now. Either
+    /// way its memo slot first gets a structurally valid placeholder:
+    /// every derived metric (IPC, fractions, speedup ratios) stays
+    /// finite, so a planning pass runs experiment code unmodified, and
+    /// a failed cell keeps the placeholder so the rest of a figure
+    /// still renders.
+    fn submit(&mut self, job: Job) {
+        self.store_placeholder(&job);
+        match &mut self.planning {
+            Some(plan) => plan.push(job),
+            None => self.execute(vec![job]),
         }
-        let executed = plan.jobs.len() as u64;
-        // Resolve the shared warmup checkpoints the planned cells need,
-        // before fanning the cells out: distinct warmups run once each
-        // on the pool, then every dependent cell restores from an
-        // `Arc`'d in-memory snapshot.
-        if let Some(cycles) = self.warm_cycles {
-            let mut seen = HashSet::new();
-            let mut needed: Vec<(String, SystemConfig, AgentMix)> = Vec::new();
-            for job in &plan.jobs {
-                if let PlannedJob::Run { cfg, workload, .. } = job {
-                    if cfg.sample_epoch.is_none() {
-                        let key = Self::warm_key(cfg, workload, cycles);
-                        if !self.checkpoints.contains_key(&key) && seen.insert(key.clone()) {
-                            needed.push((key, cfg.clone(), workload.clone()));
-                        }
-                    }
-                }
+    }
+
+    fn store_placeholder(&mut self, job: &Job) {
+        let key = job.key.clone();
+        match &job.work {
+            Work::Warmup { .. } => {
+                self.checkpoints.insert(key, None);
             }
-            if !needed.is_empty() {
-                if self.verbose {
-                    for (key, ..) in &needed {
-                        eprintln!("  [warmup] {key}");
-                    }
-                }
-                let hooks = &self.hooks;
-                let results = scoped_map_isolated(self.jobs, &needed, |(key, cfg, workload)| {
-                    hooks.maybe_inject(key);
-                    Self::warmup_cell(cfg, workload, cycles)
-                });
-                self.runs_executed += needed.len() as u64;
-                for ((key, ..), result) in needed.into_iter().zip(results) {
-                    match result.and_then(|r| r) {
-                        Ok(ckpt) => {
-                            self.checkpoints.insert(key, Some(Arc::new(ckpt)));
-                        }
-                        Err(err) => {
-                            self.checkpoints.insert(key.clone(), None);
-                            self.record_failure(key, err);
-                        }
-                    }
-                }
-            }
-        }
-        let jobs: Vec<(PlannedJob, Option<Arc<Checkpoint>>)> = plan
-            .jobs
-            .into_iter()
-            .map(|job| {
-                let warm = match (&job, self.warm_cycles) {
-                    (PlannedJob::Run { cfg, workload, .. }, Some(cycles))
-                        if cfg.sample_epoch.is_none() =>
-                    {
-                        self.checkpoints
-                            .get(&Self::warm_key(cfg, workload, cycles))
-                            .cloned()
-                            .flatten()
-                    }
-                    _ => None,
+            Work::Run { cfg, .. } => {
+                let stats = RunStats {
+                    cycles: 1,
+                    core_finish: vec![1; cfg.cores],
+                    cores: vec![Default::default(); cfg.cores],
+                    hierarchy: Default::default(),
+                    channels: vec![Default::default(); cfg.dram.org.channels as usize],
+                    lq_full_cycles: vec![0; cfg.cores],
+                    instructions_per_core: cfg.instructions_per_core.max(1),
+                    predictor_observed: vec![None; cfg.cores],
+                    series: None,
+                    agents: Vec::new(),
                 };
-                (job, warm)
-            })
-            .collect();
-        let hooks = &self.hooks;
-        let results = scoped_map_isolated(self.jobs, &jobs, |(job, warm)| match job {
-            PlannedJob::Run { key, cfg, workload } => {
-                hooks.maybe_inject(key);
-                Self::run_cell(cfg, workload, warm.as_ref())
-                    .map(|stats| JobResult::Run(Box::new(stats)))
+                self.cache.insert(key, Arc::new(stats));
             }
-            PlannedJob::Capture { key, app, cfg } => {
-                hooks.maybe_inject(key);
-                Self::capture_cell(cfg, app).map(JobResult::Capture)
+            Work::Capture { app, cfg } => {
+                let trace = Trace {
+                    fingerprint: critmem_trace::Fingerprint::of(cfg.cores, cfg.cpu_mhz, &cfg.dram),
+                    source: app.to_string(),
+                    records: Vec::new(),
+                };
+                self.traces.insert(key, Arc::new(trace));
             }
-        });
-        for ((job, _), result) in jobs.into_iter().zip(results) {
+            Work::Replay { .. } => {
+                self.replay_cache.insert(key, Arc::default());
+            }
+        }
+    }
+
+    /// Executes jobs on the worker pool in three stages: the shared
+    /// warmups the runs need, then the runs and captures, then the
+    /// replays of those captures.
+    fn execute(&mut self, jobs: Vec<Job>) {
+        let mut warmups = Vec::new();
+        for job in &jobs {
+            if let Work::Run { cfg, workload } = &job.work {
+                match self.warmup(cfg, workload) {
+                    Some(w) if !self.checkpoints.contains_key(&w.key) => {
+                        self.store_placeholder(&w);
+                        warmups.push(w);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let (mut replays, sims): (Vec<Job>, Vec<Job>) = jobs
+            .into_iter()
+            .partition(|job| matches!(job.work, Work::Replay { .. }));
+        self.execute_stage(warmups);
+        self.execute_stage(sims);
+        for job in &mut replays {
+            if let Work::Replay { app, trace, .. } = &mut job.work {
+                // The capture has settled by now, so this is a hit.
+                *trace = self.capture(app);
+            }
+        }
+        self.execute_stage(replays);
+    }
+
+    /// Runs independent jobs on the pool and settles each in input
+    /// order. Progress lines are printed up front in that order — the
+    /// same content at every job count, independent of which worker
+    /// finishes first.
+    fn execute_stage(&mut self, stage: Vec<Job>) {
+        for Job { key, work } in &stage {
+            let n = match work {
+                Work::Replay { .. } => &mut self.replays_executed,
+                _ => &mut self.runs_executed,
+            };
+            *n += 1;
+            if self.verbose {
+                match work {
+                    Work::Warmup { .. } => eprintln!("  [warmup] {key}"),
+                    Work::Run { .. } => eprintln!("  [run {n:>3}] {key}"),
+                    Work::Capture { .. } => eprintln!("  [capture] {key}"),
+                    Work::Replay { .. } => eprintln!("  [replay {n:>3}] {key}"),
+                }
+            }
+        }
+        let results = scoped_map_isolated(self.jobs, &stage, |job| self.run_job(job));
+        for (job, result) in stage.into_iter().zip(results) {
             // Flatten: the outer error is a caught panic, the inner one
             // a typed failure from the simulation itself.
-            match (job, result.and_then(|r| r)) {
-                (PlannedJob::Run { key, .. }, Ok(JobResult::Run(stats))) => {
-                    self.journal_run(&key, &stats);
-                    self.cache.insert(key, Arc::new(*stats));
-                }
-                (PlannedJob::Capture { key, .. }, Ok(JobResult::Capture(trace))) => {
-                    self.traces.insert(key, Arc::new(trace));
-                }
-                (PlannedJob::Run { key, cfg, .. }, Err(err)) => {
-                    self.cache
-                        .insert(key.clone(), Arc::new(Self::placeholder_stats(&cfg)));
-                    self.record_failure(key, err);
-                }
-                (PlannedJob::Capture { key, app, cfg }, Err(err)) => {
-                    self.traces
-                        .insert(key.clone(), Arc::new(Self::placeholder_trace(&cfg, app)));
-                    self.record_failure(key, err);
-                }
-                _ => unreachable!("job kind and result kind always match"),
-            }
+            self.settle(job.key, result.and_then(|r| r));
         }
-        self.runs_executed += executed;
-
-        if plan.replays.is_empty() {
-            return;
-        }
-        if self.verbose {
-            let mut n = self.replays_executed;
-            for rep in &plan.replays {
-                n += 1;
-                eprintln!("  [replay {n:>3}] {}", rep.key);
-            }
-        }
-        let replayed = plan.replays.len() as u64;
-        // The capture was part of the plan (or already cached), so
-        // `capture` is a cache hit.
-        let items: Vec<(String, Arc<Trace>, SchedulerKind)> = plan
-            .replays
-            .into_iter()
-            .map(|rep| (rep.key, self.capture(rep.app), rep.scheduler))
-            .collect();
-        let (hooks, audit) = (&self.hooks, self.audit);
-        let results = scoped_map_isolated(self.jobs, &items, |(key, trace, scheduler)| {
-            hooks.maybe_inject(key);
-            Self::replay_cell(trace, *scheduler, audit)
-        });
-        for ((key, ..), result) in items.into_iter().zip(results) {
-            match result.and_then(|r| r) {
-                Ok(stats) => {
-                    self.journal_replay(&key, &stats);
-                    self.replay_cache.insert(key, Arc::new(stats));
-                }
-                Err(err) => {
-                    self.replay_cache
-                        .insert(key.clone(), Arc::new(ReplayStats::default()));
-                    self.record_failure(key, err);
-                }
-            }
-        }
-        self.replays_executed += replayed;
     }
 
-    /// Replays `trace` under `scheduler` (the shared cell body of the
-    /// serial and pooled replay paths).
-    fn replay_cell(
-        trace: &Trace,
-        scheduler: SchedulerKind,
-        audit: bool,
-    ) -> Result<ReplayStats, SimError> {
-        let cfg = ReplayConfig::default().with_audit(audit);
-        crate::replay(TraceSource::from(trace.clone()), scheduler, cfg)
-    }
-
-    /// Runs one cell on the calling thread under the same
-    /// panic-isolation and fault-injection policy as the worker pool,
-    /// so failure semantics do not depend on the job count.
-    fn isolated_cell<O: Send>(
-        hooks: &FaultHooks,
-        key: &str,
-        f: impl Fn() -> Result<O, SimError> + Sync,
-    ) -> Result<O, SimError> {
-        scoped_map_isolated(1, &[()], |_| {
-            hooks.maybe_inject(key);
-            f()
+    /// Executes one job on a pool worker.
+    fn run_job(&self, job: &Job) -> Result<Outcome, SimError> {
+        self.hooks.maybe_inject(&job.key);
+        Ok(match &job.work {
+            Work::Warmup {
+                cfg,
+                workload,
+                cycles,
+            } => Outcome::Warmup(
+                Session::new(cfg.clone(), workload)
+                    .checkpoint_at(*cycles)
+                    .run_to_checkpoint()?,
+            ),
+            Work::Run { cfg, workload } => {
+                let warm = self
+                    .warmup(cfg, workload)
+                    .and_then(|w| self.checkpoints.get(&w.key)?.as_ref());
+                let session = match warm {
+                    Some(ckpt) => Session::from_checkpoint(ckpt, cfg.clone(), workload),
+                    None => Session::new(cfg.clone(), workload),
+                };
+                Outcome::Run(Box::new(session.run()?.stats))
+            }
+            Work::Capture { app, cfg } => Outcome::Capture(
+                Session::new(cfg.clone(), &AgentMix::Parallel(app))
+                    .traced(app)
+                    .run()?
+                    .observer
+                    .into_trace(),
+            ),
+            Work::Replay {
+                scheduler, trace, ..
+            } => {
+                let cfg = ReplayConfig::default().with_audit(self.audit);
+                Outcome::Replay(crate::replay(
+                    TraceSource::from((**trace).clone()),
+                    *scheduler,
+                    cfg,
+                )?)
+            }
         })
-        .pop()
-        .expect("one item in, one result out")
-        .and_then(|r| r)
     }
 
-    /// A structurally valid stand-in returned for cache misses during a
-    /// planning pass. Every derived metric (IPC, fractions, speedup
-    /// ratios) stays finite, so experiment code runs unmodified; the
-    /// numbers are discarded with the rest of the dry-run output.
-    fn placeholder_stats(cfg: &SystemConfig) -> RunStats {
-        RunStats {
-            cycles: 1,
-            core_finish: vec![1; cfg.cores],
-            cores: vec![Default::default(); cfg.cores],
-            hierarchy: Default::default(),
-            channels: vec![Default::default(); cfg.dram.org.channels as usize],
-            lq_full_cycles: vec![0; cfg.cores],
-            instructions_per_core: cfg.instructions_per_core.max(1),
-            predictor_observed: vec![None; cfg.cores],
-            series: None,
-            agents: Vec::new(),
-        }
-    }
-
-    /// Planning stand-in for a capture: right fingerprint, no records.
-    fn placeholder_trace(cfg: &SystemConfig, app: &str) -> Trace {
-        Trace {
-            fingerprint: critmem_trace::Fingerprint::of(cfg.cores, cfg.cpu_mhz, &cfg.dram),
-            source: app.to_string(),
-            records: Vec::new(),
+    /// Settles one executed cell: a success is journaled and replaces
+    /// its placeholder in the memo tables; a failure keeps the
+    /// placeholder and is recorded.
+    fn settle(&mut self, key: String, result: Result<Outcome, SimError>) {
+        match result {
+            Ok(Outcome::Warmup(ckpt)) => {
+                self.checkpoints.insert(key, Some(Arc::new(ckpt)));
+            }
+            Ok(Outcome::Run(stats)) => {
+                self.journal(|j| j.append_run(&key, &stats));
+                self.cache.insert(key, Arc::new(*stats));
+            }
+            Ok(Outcome::Capture(trace)) => {
+                self.traces.insert(key, Arc::new(trace));
+            }
+            Ok(Outcome::Replay(stats)) => {
+                self.journal(|j| j.append_replay(&key, &stats));
+                self.replay_cache.insert(key, Arc::new(stats));
+            }
+            Err(error) => self.record_failure(key, error),
         }
     }
 
@@ -624,42 +519,15 @@ impl Runner {
             }
             _ => format!("{key}@{}", cfg.instructions_per_core),
         };
-        if let Some(hit) = self.cache.get(&key) {
-            return Arc::clone(hit);
+        if !self.cache.contains_key(&key) {
+            let workload = workload.clone();
+            let work = Work::Run { cfg, workload };
+            self.submit(Job {
+                key: key.clone(),
+                work,
+            });
         }
-        if let Some(plan) = &mut self.planning {
-            let placeholder = Arc::new(Self::placeholder_stats(&cfg));
-            if plan.seen.insert(format!("run:{key}")) {
-                plan.jobs.push(PlannedJob::Run {
-                    key,
-                    cfg,
-                    workload: workload.clone(),
-                });
-            }
-            return placeholder;
-        }
-        let warm = self.warm_checkpoint(&cfg, workload);
-        if self.verbose {
-            eprintln!("  [run {:>3}] {key}", self.runs_executed + 1);
-        }
-        let outcome = Self::isolated_cell(&self.hooks, &key, || {
-            Self::run_cell(&cfg, workload, warm.as_ref())
-        });
-        self.runs_executed += 1;
-        match outcome {
-            Ok(stats) => {
-                self.journal_run(&key, &stats);
-                let stats = Arc::new(stats);
-                self.cache.insert(key, Arc::clone(&stats));
-                stats
-            }
-            Err(err) => {
-                let stats = Arc::new(Self::placeholder_stats(&cfg));
-                self.cache.insert(key.clone(), Arc::clone(&stats));
-                self.record_failure(key, err);
-                stats
-            }
-        }
+        Arc::clone(&self.cache[&key])
     }
 
     /// Captures (or recalls) a parallel app's request trace at this
@@ -679,35 +547,14 @@ impl Runner {
     /// predictor (one capture per metric under study).
     pub fn capture_with(&mut self, app: &'static str, predictor: PredictorKind) -> Arc<Trace> {
         let key = format!("{app}|{}@{}", predictor.name(), self.scale.instructions);
-        if let Some(hit) = self.traces.get(&key) {
-            return Arc::clone(hit);
+        if !self.traces.contains_key(&key) {
+            let cfg = self.parallel_cfg().with_predictor(predictor);
+            self.submit(Job {
+                key: key.clone(),
+                work: Work::Capture { app, cfg },
+            });
         }
-        let cfg = self.parallel_cfg().with_predictor(predictor);
-        if let Some(plan) = &mut self.planning {
-            let placeholder = Arc::new(Self::placeholder_trace(&cfg, app));
-            if plan.seen.insert(format!("cap:{key}")) {
-                plan.jobs.push(PlannedJob::Capture { key, app, cfg });
-            }
-            return placeholder;
-        }
-        if self.verbose {
-            eprintln!("  [capture] {key}");
-        }
-        let outcome = Self::isolated_cell(&self.hooks, &key, || Self::capture_cell(&cfg, app));
-        self.runs_executed += 1;
-        match outcome {
-            Ok(trace) => {
-                let trace = Arc::new(trace);
-                self.traces.insert(key, Arc::clone(&trace));
-                trace
-            }
-            Err(err) => {
-                let trace = Arc::new(Self::placeholder_trace(&cfg, app));
-                self.traces.insert(key.clone(), Arc::clone(&trace));
-                self.record_failure(key, err);
-                trace
-            }
-        }
+        Arc::clone(&self.traces[&key])
     }
 
     /// Replays (or recalls) an app's captured trace under `scheduler`.
@@ -720,42 +567,19 @@ impl Runner {
             scheduler.name(),
             self.scale.instructions
         );
-        if let Some(hit) = self.replay_cache.get(&key) {
-            return Arc::clone(hit);
+        if !self.replay_cache.contains_key(&key) {
+            let trace = self.capture(app);
+            let work = Work::Replay {
+                app,
+                scheduler,
+                trace,
+            };
+            self.submit(Job {
+                key: key.clone(),
+                work,
+            });
         }
-        let trace = self.capture(app);
-        if let Some(plan) = &mut self.planning {
-            if plan.seen.insert(format!("rep:{key}")) {
-                plan.replays.push(PlannedReplay {
-                    key,
-                    app,
-                    scheduler,
-                });
-            }
-            return Arc::new(ReplayStats::default());
-        }
-        if self.verbose {
-            eprintln!("  [replay {:>3}] {key}", self.replays_executed + 1);
-        }
-        let audit = self.audit;
-        let outcome = Self::isolated_cell(&self.hooks, &key, || {
-            Self::replay_cell(&trace, scheduler, audit)
-        });
-        self.replays_executed += 1;
-        match outcome {
-            Ok(stats) => {
-                self.journal_replay(&key, &stats);
-                let stats = Arc::new(stats);
-                self.replay_cache.insert(key, Arc::clone(&stats));
-                stats
-            }
-            Err(err) => {
-                let stats = Arc::new(ReplayStats::default());
-                self.replay_cache.insert(key.clone(), Arc::clone(&stats));
-                self.record_failure(key, err);
-                stats
-            }
-        }
+        Arc::clone(&self.replay_cache[&key])
     }
 
     /// Base configuration for a parallel run at this scale.

@@ -2,16 +2,16 @@
 //!
 //! The experiment engine fans independent simulations out across
 //! threads without pulling in rayon (this is an offline, zero-dep
-//! build): [`scoped_map`] runs a closure over a work list on `jobs`
-//! scoped threads and hands the results back **in input order**, so
-//! callers can merge them deterministically regardless of which worker
-//! finished first.
+//! build): [`scoped_map_isolated`] runs a closure over a work list on
+//! `jobs` scoped threads and hands the results back **in input order**,
+//! so callers can merge them deterministically regardless of which
+//! worker finished first.
 //!
-//! [`scoped_map_isolated`] adds fault isolation on top: a panic in one
-//! cell is caught ([`std::panic::catch_unwind`]), retried a bounded
-//! number of times (the simulator is deterministic, so retries only
-//! help against nondeterministic faults — but they are cheap and make
-//! the policy explicit), and finally reported as a per-cell
+//! Each cell is fault-isolated: a panic in one cell is caught
+//! ([`std::panic::catch_unwind`]), retried a bounded number of times
+//! (the simulator is deterministic, so retries only help against
+//! nondeterministic faults — but they are cheap and make the policy
+//! explicit), and finally reported as a per-cell
 //! [`SimError::CellPanic`] while every other cell completes normally.
 
 use critmem_common::SimError;
@@ -29,59 +29,6 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Applies `f` to every item of `items` using up to `jobs` worker
-/// threads, returning the outputs in input order.
-///
-/// Work is distributed by an atomic claim index (workers pull the next
-/// unclaimed item), so an uneven mix of long and short simulations
-/// still load-balances. With `jobs <= 1` (or a single item) everything
-/// runs on the calling thread — byte-for-byte the serial path.
-///
-/// # Panics
-///
-/// Propagates a panic from any worker once all workers have joined
-/// (the semantics of [`std::thread::scope`]).
-pub fn scoped_map<I, O, F>(jobs: usize, items: Vec<I>, f: F) -> Vec<O>
-where
-    I: Send,
-    O: Send,
-    F: Fn(I) -> O + Sync,
-{
-    let n = items.len();
-    if jobs <= 1 || n <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let inputs: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
-    let outputs: Vec<Mutex<Option<O>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let f = &f;
-    std::thread::scope(|s| {
-        for _ in 0..jobs.min(n) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let item = inputs[i]
-                    .lock()
-                    .unwrap()
-                    .take()
-                    .expect("work item claimed twice");
-                let out = f(item);
-                *outputs[i].lock().unwrap() = Some(out);
-            });
-        }
-    });
-    outputs
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .unwrap()
-                .expect("worker exited without producing a result")
-        })
-        .collect()
 }
 
 /// Renders a panic payload as text (the common `&str` / `String` cases,
@@ -115,11 +62,15 @@ where
     })
 }
 
-/// Fault-isolated variant of [`scoped_map`]: applies `f` to every item
-/// on up to `jobs` worker threads, catching panics per cell. A
+/// Applies `f` to every item of `items` on up to `jobs` worker threads,
+/// returning the outputs in input order, and catches panics per cell. A
 /// panicking cell is retried up to [`MAX_ATTEMPTS`] times total, then
 /// reported as `Err(SimError::CellPanic)` in its input-order slot —
 /// the other cells are unaffected.
+///
+/// Work is distributed by an atomic claim index (workers pull the next
+/// unclaimed item), so an uneven mix of long and short simulations
+/// still load-balances.
 ///
 /// `f` takes the item by reference (items must survive a retry), and
 /// must be unwind-safe in the practical sense: the simulator
@@ -169,29 +120,35 @@ where
 mod tests {
     use super::*;
 
+    /// Unwraps every cell of a panic-free map.
+    fn clean<O>(out: Vec<Result<O, SimError>>) -> Vec<O> {
+        out.into_iter().map(|r| r.unwrap()).collect()
+    }
+
     #[test]
     fn preserves_input_order() {
-        let out = scoped_map(4, (0..100).collect(), |i: u64| i * 2);
+        let items: Vec<u64> = (0..100).collect();
+        let out = clean(scoped_map_isolated(4, &items, |&i| i * 2));
         assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn serial_fallback_matches() {
         let items: Vec<u64> = (0..17).collect();
-        let a = scoped_map(1, items.clone(), |i| i + 1);
-        let b = scoped_map(8, items, |i| i + 1);
+        let a = clean(scoped_map_isolated(1, &items, |&i| i + 1));
+        let b = clean(scoped_map_isolated(8, &items, |&i| i + 1));
         assert_eq!(a, b);
     }
 
     #[test]
     fn handles_empty_and_single() {
-        assert_eq!(scoped_map(4, Vec::<u8>::new(), |i| i), Vec::<u8>::new());
-        assert_eq!(scoped_map(4, vec![7u8], |i| i), vec![7]);
+        assert!(scoped_map_isolated(4, &Vec::<u8>::new(), |&i| i).is_empty());
+        assert_eq!(clean(scoped_map_isolated(4, &[7u8], |&i| i)), vec![7]);
     }
 
     #[test]
     fn more_jobs_than_items_is_fine() {
-        let out = scoped_map(32, vec![1u8, 2, 3], |i| i);
+        let out = clean(scoped_map_isolated(32, &[1u8, 2, 3], |&i| i));
         assert_eq!(out, vec![1, 2, 3]);
     }
 

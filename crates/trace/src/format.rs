@@ -257,14 +257,23 @@ fn write_string<W: Write>(w: &mut W, s: &str) -> io::Result<()> {
 pub(crate) fn read_string<R: Read>(r: &mut R) -> Result<String, TraceError> {
     let len = u16::from_le_bytes(read_array(r)?) as usize;
     let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
+    read_exact(r, &mut buf)?;
     String::from_utf8(buf).map_err(|_| TraceError::Corrupt("non-UTF-8 string".into()))
 }
 
 pub(crate) fn read_array<R: Read, const N: usize>(r: &mut R) -> Result<[u8; N], TraceError> {
     let mut buf = [0u8; N];
-    r.read_exact(&mut buf)?;
+    read_exact(r, &mut buf)?;
     Ok(buf)
+}
+
+/// Reads one header field: bytes that end inside it are a truncated
+/// artifact, not an I/O failure.
+fn read_exact<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), TraceError> {
+    r.read_exact(buf).map_err(|e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => TraceError::Corrupt("truncated header".into()),
+        _ => TraceError::Io(e),
+    })
 }
 
 /// One captured LLC-miss request.
@@ -615,6 +624,29 @@ mod tests {
     fn bad_magic_is_rejected() {
         let err = Trace::read_from(Cursor::new(b"NOPE....".to_vec())).unwrap_err();
         assert!(matches!(err, TraceError::BadMagic));
+    }
+
+    #[test]
+    fn every_cut_inside_the_header_is_truncated() {
+        // A finished trace with no records is exactly its header.
+        let header = Trace {
+            fingerprint: sample_fingerprint(),
+            source: "swim".into(),
+            records: vec![],
+        }
+        .to_bytes()
+        .unwrap();
+        assert!(Trace::read_from(Cursor::new(&header)).is_ok());
+        for cut in 0..header.len() {
+            let head = &header[..cut];
+            let streamed = TraceStream::new(Cursor::new(head)).err();
+            let read = Trace::read_from(Cursor::new(head)).err();
+            for err in [streamed, read] {
+                let err = err.unwrap_or_else(|| panic!("cut {cut}: header accepted"));
+                assert!(matches!(err, TraceError::Corrupt(_)), "cut {cut}: {err:?}");
+                assert!(err.to_string().contains("truncated"), "cut {cut}: {err}");
+            }
+        }
     }
 
     #[test]

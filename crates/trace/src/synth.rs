@@ -597,6 +597,23 @@ mod tests {
     }
 
     #[test]
+    fn short_fingerprint_blob_is_truncated() {
+        let mut fp = Vec::new();
+        sample_trace().fingerprint.write_to(&mut fp).unwrap();
+        for len in 0..fp.len() {
+            // A CRC-valid frame whose payload's fingerprint ends early.
+            let mut payload = ByteWriter::new();
+            payload.put_bytes(&fp[..len]);
+            let mut out = ByteWriter::new();
+            out.put_header(&PROFILE_MAGIC, PROFILE_VERSION);
+            out.put_sealed(&payload.into_bytes());
+            let err = TrafficProfile::from_bytes(&out.into_bytes()).unwrap_err();
+            assert!(matches!(err, TraceError::Corrupt(_)), "blob {len}: {err:?}");
+            assert!(err.to_string().contains("truncated"), "blob {len}: {err}");
+        }
+    }
+
+    #[test]
     fn same_seed_is_byte_deterministic() {
         let profile = TrafficProfile::fit(&sample_trace()).unwrap();
         let draw = |seed| {

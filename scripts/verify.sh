@@ -82,9 +82,11 @@ diff "$tmp/fig10.warm1" "$tmp/fig10.warm2"
 echo "== torn artifact smoke test (typed errors, exit 1, never a panic)"
 # Cut 3 bytes off the trace, checkpoint and profile written above:
 # each decoder must name the damage and exit 1 (a panic exits 101).
+# The trace is also cut inside its header, after its first 20 bytes.
 for ext in cmtr cmck cmpf; do
   head -c -3 "$tmp/swim.$ext" > "$tmp/torn.$ext"
 done
+head -c 20 "$tmp/swim.cmtr" > "$tmp/torn-header.cmtr"
 expect_torn() {
   local rc=0
   "$@" > /dev/null 2> "$tmp/torn.err" || rc=$?
@@ -95,6 +97,8 @@ expect_torn() {
   fi
 }
 expect_torn ./target/release/repro trace replay "$tmp/torn.cmtr" --sched fr-fcfs
+expect_torn ./target/release/repro trace replay "$tmp/torn-header.cmtr" --sched fr-fcfs
+expect_torn ./target/release/repro trace stream "$tmp/torn-header.cmtr" --sched fr-fcfs
 expect_torn ./target/release/repro --scale quick checkpoint restore "$tmp/torn.cmck" swim \
   --sched casras-crit --pred maxstalltime
 expect_torn ./target/release/repro trace synth "$tmp/torn.cmpf" --requests 1000
@@ -174,22 +178,26 @@ grep -q 'detected as audit violation' "$tmp/inject.out"
 
 echo "== fault-injection smoke test (isolation + journal resume)"
 # Build the harness with the injection hooks armed, wedge one cell of a
-# two-figure sweep, and check that (a) the sweep completes with a
-# non-zero exit and a failure report, and (b) --resume reproduces the
-# clean run's stdout byte for byte.
+# two-figure sweep, and check at --jobs 4 and --jobs 1 that (a) the
+# sweep completes with a non-zero exit and a failure report, identical
+# at both widths, and (b) --resume reproduces the clean run's stdout
+# byte for byte.
 cargo build --release --features critmem/fault-inject -q
 faulty=./target/release/repro
 "$faulty" --scale quick --jobs 4 fig4 fig6 > "$tmp/sweep.clean" 2>/dev/null
-if CRITMEM_FAULT_PANIC_KEY='mg|CASRAS-Crit|Binary' \
-    "$faulty" --scale quick --jobs 4 --journal "$tmp/sweep.cmjr" fig4 fig6 \
-    > "$tmp/sweep.faulted" 2>/dev/null; then
-  echo "fault-injection smoke: expected a non-zero exit" >&2
-  exit 1
-fi
-grep -q '=== Failed cells ===' "$tmp/sweep.faulted"
-"$faulty" --scale quick --jobs 4 --journal "$tmp/sweep.cmjr" --resume fig4 fig6 \
-  > "$tmp/sweep.resumed" 2>/dev/null
-cmp "$tmp/sweep.clean" "$tmp/sweep.resumed"
+for jobs in 4 1; do
+  if CRITMEM_FAULT_PANIC_KEY='mg|CASRAS-Crit|Binary' \
+      "$faulty" --scale quick --jobs "$jobs" --journal "$tmp/sweep$jobs.cmjr" fig4 fig6 \
+      > "$tmp/sweep.faulted$jobs" 2>/dev/null; then
+    echo "fault-injection smoke: expected a non-zero exit at --jobs $jobs" >&2
+    exit 1
+  fi
+  grep -q '=== Failed cells ===' "$tmp/sweep.faulted$jobs"
+  "$faulty" --scale quick --jobs "$jobs" --journal "$tmp/sweep$jobs.cmjr" --resume fig4 fig6 \
+    > "$tmp/sweep.resumed$jobs" 2>/dev/null
+  cmp "$tmp/sweep.clean" "$tmp/sweep.resumed$jobs"
+done
+cmp "$tmp/sweep.faulted4" "$tmp/sweep.faulted1"
 # Rebuild without the feature so later runs use the production binary.
 cargo build --release -q
 
