@@ -2,8 +2,10 @@
 //! cadence, and timing-window checks on the controller's observable
 //! behavior under randomized traffic.
 
-use critmem_common::{AccessKind, ChannelId, CoreId, MemRequest, SmallRng};
+use critmem_common::codec::ByteWriter;
+use critmem_common::{crc32, AccessKind, ChannelId, CoreId, Criticality, MemRequest, SmallRng};
 use critmem_dram::{AddressMapping, ChannelController, DramConfig, Fcfs, Interleaving};
+use critmem_sched::SchedulerKind;
 
 /// Drives random reads through one channel; returns (completions with
 /// cycles, total cycles elapsed, stats snapshot fields).
@@ -338,4 +340,69 @@ fn random_traffic_regression_case() {
         854247, 526721, 608223,
     ];
     check_random_traffic(&seeds);
+}
+
+/// Drives one channel under `kind` with seeded mixed traffic: a 200
+/// cycle starvation cap (so promotions happen), write bursts that cross
+/// the drain watermarks, and refresh on. Returns the CRC-32 of the
+/// controller's saved state followed by its encoded statistics.
+fn controller_digest(kind: SchedulerKind) -> u32 {
+    let mut cfg = DramConfig::paper_baseline();
+    cfg.starvation_cap = 200;
+    assert!(cfg.refresh_enabled);
+    let map = AddressMapping::new(cfg.org, Interleaving::Page);
+    let mut ctl = ChannelController::new(ChannelId(0), cfg, kind.build(8, 0));
+    let mut rng = SmallRng::seed_from_u64(0x5EED_0019);
+    let mut out = Vec::new();
+    for id in 0..40_000u64 {
+        // 2,000-cycle phases: light and saturating load, each read-heavy
+        // and write-heavy.
+        let phase = id / 2_000;
+        let rate = [0.04, 0.3][phase as usize % 2];
+        let write_share = [0.1, 0.7][(phase / 2) as usize % 2];
+        if rng.gen_bool(rate) {
+            let kind = if rng.gen_bool(write_share) {
+                AccessKind::Write
+            } else if rng.gen_bool(0.1) {
+                AccessKind::Prefetch
+            } else {
+                AccessKind::Read
+            };
+            // Channel-0 addresses over 32 banks x 8 rows.
+            let addr = rng.gen_range(0..256) * 4_096 + rng.gen_range(0..16) * 64;
+            let crit = if rng.gen_bool(0.3) {
+                Criticality::ranked(rng.gen_range(1..1_000))
+            } else {
+                Criticality::non_critical()
+            };
+            let core = CoreId(rng.gen_range(0..8) as u8);
+            let req = MemRequest::new(id, addr, kind, core).with_criticality(crit);
+            let _ = ctl.enqueue(req, map.locate(addr));
+        }
+        out.clear();
+        ctl.tick_into(&mut out);
+    }
+    let stats = ctl.stats();
+    assert!(stats.starvation_promotions > 0, "no promotion happened");
+    assert!(stats.writes_completed > 1_000, "too few writes drained");
+    assert!(stats.refreshes >= 16, "refresh did not run");
+    let mut w = ByteWriter::new();
+    ctl.save_state(&mut w);
+    stats.encode(&mut w);
+    crc32::checksum(&w.into_bytes())
+}
+
+/// Pins the controller's end state under three schedulers, so a change
+/// to how candidates are built must leave every issued command, every
+/// promotion and every statistic exactly as it was.
+#[test]
+fn controller_state_digests_are_pinned() {
+    for (kind, want) in [
+        (SchedulerKind::FrFcfs, 0x4716_dd76u32),
+        (SchedulerKind::CasRasCrit, 0xd65a_ca2c),
+        (SchedulerKind::DEFAULT_META, 0x1b0d_c396),
+    ] {
+        let got = controller_digest(kind);
+        assert_eq!(got, want, "{} digest {got:#010x}", kind.name());
+    }
 }
