@@ -17,7 +17,9 @@ use critmem_common::{AccessKind, ChannelId, CoreId, Criticality, MemRequest};
 use critmem_dram::{AddressMapping, ChannelController, DramConfig, Interleaving};
 use critmem_predict::CbpMetric;
 use critmem_sched::{FrFcfs, SchedulerKind};
-use critmem_trace::{CoreProfile, Fingerprint, ReplayConfig, TrafficProfile, CHUNK_BYTES};
+use critmem_trace::{
+    CoreProfile, Fingerprint, ReplayConfig, TraceStream, TrafficProfile, CHUNK_BYTES,
+};
 use std::time::Instant;
 
 /// Pre-overhaul numbers, measured on the same harness (loaded/idle
@@ -181,7 +183,8 @@ fn measure_streaming() -> StreamingNumbers {
     let trace = r.capture("swim");
     let path = std::env::temp_dir().join(format!("critmem-bench-{}.cmtr", std::process::id()));
     trace.save(&path).expect("save bench trace");
-    let streamed = stream_replay(&path, SchedulerKind::FrFcfs, ReplayConfig::default())
+    let stream = TraceStream::open(&path).expect("open bench trace");
+    let streamed = stream_replay(stream, SchedulerKind::FrFcfs, ReplayConfig::default())
         .expect("stream replay");
     std::fs::remove_file(&path).ok();
     assert!(streamed.peak_resident_bytes <= CHUNK_BYTES);

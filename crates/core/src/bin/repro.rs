@@ -39,7 +39,7 @@ use critmem::{AgentMix, Checkpoint, Session, SystemConfig};
 use critmem_common::SimError;
 use critmem_predict::CbpMetric;
 use critmem_sched::SchedulerKind;
-use critmem_trace::{ReplayConfig, Trace, TraceSource, TrafficProfile};
+use critmem_trace::{ReplayConfig, Trace, TraceSource, TraceStream, TrafficProfile};
 
 /// Every name the figure/table runner accepts.
 const EXPERIMENTS: [&str; 18] = [
@@ -195,8 +195,11 @@ fn trace_main(args: Vec<String>, scale: Scale, knobs: EngineKnobs) -> ! {
             let (file, sched, replay_cfg, _, _) =
                 parse_replay_flags(args.into_iter().skip(1), knobs.audit);
             let Some(file) = file else { usage() };
-            let out = stream_replay(std::path::Path::new(&file), sched, replay_cfg)
-                .unwrap_or_else(|e| fail(e));
+            let stream = TraceStream::open(std::path::Path::new(&file)).unwrap_or_else(|e| {
+                eprintln!("cannot read {file}: {e}");
+                std::process::exit(1);
+            });
+            let out = stream_replay(stream, sched, replay_cfg).unwrap_or_else(|e| fail(e));
             println!(
                 "streamed {} requests ({} chunks) under {} in {} CPU cycles",
                 out.records_read,

@@ -13,7 +13,8 @@ use crate::replay::replay_with;
 use critmem_common::SimError;
 use critmem_sched::SchedulerKind;
 use critmem_trace::{ReplayConfig, ReplayStats, SynthSource, TraceStream, TrafficProfile};
-use std::path::Path;
+use std::fs::File;
+use std::io::BufReader;
 use std::time::Instant;
 
 /// Outcome of one streamed-file replay.
@@ -33,19 +34,19 @@ pub struct StreamReplayOutcome {
     pub seconds: f64,
 }
 
-/// Replays a CMTR file through `scheduler` without ever materializing
-/// the trace: records stream chunk-at-a-time from disk.
+/// Replays an opened CMTR file ([`TraceStream::open`]) through
+/// `scheduler` without ever materializing the trace: records stream
+/// chunk-at-a-time from disk.
 ///
 /// # Errors
 ///
-/// [`SimError::Trace`] on open/format/corruption failures, and
-/// whatever [`crate::replay()`] reports (watchdog trips).
+/// [`SimError::Trace`] on a corrupt or torn chunk, and whatever
+/// [`crate::replay()`] reports (watchdog trips).
 pub fn stream_replay(
-    path: &Path,
+    stream: TraceStream<BufReader<File>>,
     scheduler: SchedulerKind,
     cfg: ReplayConfig,
 ) -> Result<StreamReplayOutcome, SimError> {
-    let stream = TraceStream::open(path).map_err(|e| SimError::Trace(e.to_string()))?;
     let started = Instant::now();
     let (stats, stream) = replay_with(stream, scheduler, cfg, None)?;
     Ok(StreamReplayOutcome {
@@ -120,7 +121,8 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("critmem-streaming-exp-{}.cmtr", std::process::id()));
         trace.save(&path).unwrap();
-        let out = stream_replay(&path, SchedulerKind::FrFcfs, ReplayConfig::default());
+        let stream = TraceStream::open(&path).unwrap();
+        let out = stream_replay(stream, SchedulerKind::FrFcfs, ReplayConfig::default());
         std::fs::remove_file(&path).ok();
         let out = out.unwrap();
         assert_eq!(out.records_read, n);

@@ -324,11 +324,6 @@ impl ChannelTiming {
         self.refresh_due.iter().copied().min().unwrap_or(u64::MAX)
     }
 
-    /// Whether any rank currently owes a refresh.
-    pub fn any_refresh_pending(&self) -> bool {
-        self.refresh_pending.iter().any(|&p| p)
-    }
-
     /// Whether the given rank currently owes a refresh.
     pub fn refresh_pending(&self, rank: RankId) -> bool {
         self.refresh_pending[rank.index()]

@@ -263,11 +263,24 @@ pub struct ChannelController {
     /// state changes: any enqueue, command issue, refresh activity, or
     /// direction flip resets it to 0 (always rebuild).
     no_cand_until: DramCycle,
+    /// Per bank (`rank * banks_per_rank + bank`) and direction slot
+    /// ([`dir_slot`]): queued transactions whose row is the bank's open
+    /// row. Kept current on enqueue, CAS, ACT (recount the bank) and
+    /// PRE (zero the bank), so candidate building never rescans the
+    /// queue to learn whether a precharge would waste row hits.
+    row_wanted: Vec<[u32; 2]>,
+    /// Per bank and direction slot: queued transactions the starvation
+    /// cap has promoted. A bank with one quiesces its other work.
+    starved_in: Vec<[u32; 2]>,
+    /// No queued transaction crosses the starvation cap before this
+    /// cycle: at most the earliest `arrival + cap + 1` of a
+    /// non-promoted one (a removal may leave it early, which costs one
+    /// extra scan). Below it, candidate building skips the promotion
+    /// scan.
+    promote_at: DramCycle,
     // Scratch buffers reused across ticks: cleared, never shrunk.
     refresh_ranks: Vec<RankId>,
     cand_buf: Vec<Candidate>,
-    open_row_wanted: Vec<bool>,
-    starved_bank: Vec<bool>,
     bus_floor: Vec<DramCycle>,
     /// Shadow protocol auditor (`None` when auditing is off — the hot
     /// path pays one branch and the zero-allocation guarantee holds).
@@ -313,8 +326,9 @@ impl ChannelController {
             no_cand_until: 0,
             refresh_ranks: Vec::with_capacity(nbanks),
             cand_buf: Vec::with_capacity(cfg.queue_capacity),
-            open_row_wanted: vec![false; nbanks],
-            starved_bank: vec![false; nbanks],
+            row_wanted: vec![[0; 2]; nbanks],
+            starved_in: vec![[0; 2]; nbanks],
+            promote_at: DramCycle::MAX,
             bus_floor: Vec::with_capacity(nbanks),
             audit: None,
         }
@@ -334,11 +348,6 @@ impl ChannelController {
         ));
         a.attach(&self.timing, self.now);
         self.audit = Some(a);
-    }
-
-    /// Whether a shadow auditor is attached.
-    pub fn audit_enabled(&self) -> bool {
-        self.audit.is_some()
     }
 
     /// The auditor's first recorded violation, if any.
@@ -396,6 +405,7 @@ impl ChannelController {
             }
             self.timing.issue_unchecked(&cmd, now);
         }
+        self.recount_bank_state();
         self.no_cand_until = 0;
     }
 
@@ -417,11 +427,6 @@ impl ChannelController {
     /// Accumulated statistics.
     pub fn stats(&self) -> &ChannelStats {
         &self.stats
-    }
-
-    /// The scheduler's display name.
-    pub fn scheduler_name(&self) -> &str {
-        self.scheduler.name()
     }
 
     /// Age (in DRAM cycles) of the oldest queued transaction, or
@@ -482,6 +487,13 @@ impl ChannelController {
         let txn = Transaction::new(req, loc, self.now, self.seq);
         self.seq += 1;
         self.no_cand_until = 0;
+        if self.timing.bank(loc.rank, loc.bank).open_row == Some(loc.row) {
+            let idx = self.bank_slot(&loc);
+            self.row_wanted[idx][dir_slot(&txn)] += 1;
+        }
+        self.promote_at = self
+            .promote_at
+            .min(txn.arrival.saturating_add(self.cfg.starvation_cap + 1));
         if !txn.is_read() {
             self.queued_writes += 1;
         } else if txn.req.crit.is_critical() {
@@ -834,6 +846,7 @@ impl ChannelController {
                             a.observe(&pre, now);
                         }
                         self.timing.issue(&pre, now);
+                        self.row_wanted[rank.index() * bpr + b] = [0; 2];
                         return true;
                     }
                 }
@@ -851,50 +864,27 @@ impl ChannelController {
     /// ignore the criticality annotation (plain FR-FCFS, AHB, …)
     /// cannot starve a request indefinitely behind a stream of row
     /// hits.
-    /// Fills `cand_buf` with this cycle's ready commands. Returns the
-    /// earliest future cycle at which the candidate set could become
-    /// non-empty *absent any state change* — the caller may skip
-    /// generation until then if the set came back empty.
+    ///
+    /// Fills `cand_buf` with this cycle's ready commands, in queue
+    /// order. Returns the earliest future cycle at which the candidate
+    /// set could become non-empty *absent any state change* — the
+    /// caller may skip generation until then if the set came back
+    /// empty.
     fn build_candidates(&mut self) -> DramCycle {
         let now = self.now;
+        if now >= self.promote_at {
+            self.promote_starved();
+        }
+        debug_assert!(
+            self.bank_state_matches_queue(),
+            "per-bank candidate state out of sync"
+        );
         let cap = self.cfg.starvation_cap;
         let bpr = self.timing.banks_per_rank();
-        let ranks = self.timing.ranks();
-        let nbanks = ranks * bpr;
-        let mut next_cand_at = u64::MAX;
-        self.open_row_wanted.clear();
-        self.open_row_wanted.resize(nbanks, false);
-        self.starved_bank.clear();
-        self.starved_bank.resize(nbanks, false);
-        // One pass: count starvation promotions (once per transaction),
-        // and record which banks' open rows are still wanted by a
-        // same-direction transaction (so a PRE would waste row hits)
-        // and which banks have a starved transaction (those banks are
-        // quiesced: no non-starved work may issue there, or the
-        // starved PRE's tRTP window would keep sliding forever).
-        for txn in &mut self.queue {
-            if !txn.starved {
-                if txn.age(now) > cap {
-                    txn.starved = true;
-                    self.stats.starvation_promotions += 1;
-                } else {
-                    // A starvation crossing changes candidacy (and is
-                    // counted at an exact cycle): cap any emptiness
-                    // window at the next crossing.
-                    next_cand_at = next_cand_at.min(txn.arrival.saturating_add(cap + 1));
-                }
-            }
-            if !txn.matches_direction(self.direction) {
-                continue;
-            }
-            let idx = txn.loc.rank.index() * bpr + txn.loc.bank.index();
-            if self.timing.bank(txn.loc.rank, txn.loc.bank).open_row == Some(txn.loc.row) {
-                self.open_row_wanted[idx] = true;
-            }
-            if txn.starved {
-                self.starved_bank[idx] = true;
-            }
-        }
+        let dir = usize::from(self.direction == Direction::Write);
+        // A starvation crossing changes candidacy (and is counted at an
+        // exact cycle): cap any emptiness window at the next crossing.
+        let mut next_cand_at = self.promote_at;
         // All CAS candidates this cycle share one direction, so the
         // data-bus floor only depends on the rank: compute it once per
         // rank instead of once per queued transaction.
@@ -903,7 +893,7 @@ impl ChannelController {
             Direction::Write => CommandKind::Write,
         };
         self.bus_floor.clear();
-        for r in 0..ranks {
+        for r in 0..self.timing.ranks() {
             self.bus_floor
                 .push(self.timing.cas_bus_floor(cas_kind, RankId(r as u8)));
         }
@@ -915,9 +905,12 @@ impl ChannelController {
             if self.refresh_ranks.contains(&txn.loc.rank) {
                 continue;
             }
-            // Bank quiescence for the starvation cap (§3.2).
+            // Bank quiescence for the starvation cap (§3.2): while a
+            // bank holds a starved same-direction transaction, no other
+            // work may issue there, or the starved PRE's tRTP window
+            // would keep sliding forever.
             let idx = txn.loc.rank.index() * bpr + txn.loc.bank.index();
-            if self.starved_bank[idx] && !txn.starved {
+            if self.starved_in[idx][dir] > 0 && !txn.starved {
                 continue;
             }
             let bank = self.timing.bank(txn.loc.rank, txn.loc.bank);
@@ -939,7 +932,7 @@ impl ChannelController {
                     // serviceable transaction still wants the open row
                     // — unless this transaction is starved, in which
                     // case it may close the row regardless.
-                    if self.open_row_wanted[idx] && !txn.starved {
+                    if self.row_wanted[idx][dir] > 0 && !txn.starved {
                         continue;
                     }
                     (CommandKind::Precharge, bank.next_pre, false)
@@ -965,6 +958,106 @@ impl ChannelController {
         next_cand_at
     }
 
+    /// Promotes every queued transaction that has aged past the
+    /// starvation cap (counting each promotion once) and recomputes
+    /// [`Self::promote_at`] exactly.
+    fn promote_starved(&mut self) {
+        let now = self.now;
+        let cap = self.cfg.starvation_cap;
+        let bpr = self.timing.banks_per_rank();
+        let mut next = DramCycle::MAX;
+        for txn in &mut self.queue {
+            if txn.starved {
+                continue;
+            }
+            if txn.age(now) > cap {
+                txn.starved = true;
+                self.stats.starvation_promotions += 1;
+                let idx = txn.loc.rank.index() * bpr + txn.loc.bank.index();
+                self.starved_in[idx][dir_slot(txn)] += 1;
+            } else {
+                next = next.min(txn.arrival.saturating_add(cap + 1));
+            }
+        }
+        self.promote_at = next;
+    }
+
+    /// The `row_wanted`/`starved_in` index of a location's bank.
+    fn bank_slot(&self, loc: &DramLocation) -> usize {
+        loc.rank.index() * self.timing.banks_per_rank() + loc.bank.index()
+    }
+
+    /// Recounts `row_wanted` for one bank against its open row (after
+    /// an ACT changed it).
+    fn recount_row_wanted(&mut self, loc: &DramLocation) {
+        let idx = self.bank_slot(loc);
+        let mut counts = [0; 2];
+        if let Some(row) = self.timing.bank(loc.rank, loc.bank).open_row {
+            for txn in &self.queue {
+                if txn.loc.rank == loc.rank && txn.loc.bank == loc.bank && txn.loc.row == row {
+                    counts[dir_slot(txn)] += 1;
+                }
+            }
+        }
+        self.row_wanted[idx] = counts;
+    }
+
+    /// Recounts both per-bank counters for every bank and the promotion
+    /// gate from the queue (after a restore or a rogue command).
+    fn recount_bank_state(&mut self) {
+        self.row_wanted.fill([0; 2]);
+        self.starved_in.fill([0; 2]);
+        for txn in &self.queue {
+            let idx = self.bank_slot(&txn.loc);
+            if self.timing.bank(txn.loc.rank, txn.loc.bank).open_row == Some(txn.loc.row) {
+                self.row_wanted[idx][dir_slot(txn)] += 1;
+            }
+            if txn.starved {
+                self.starved_in[idx][dir_slot(txn)] += 1;
+            }
+        }
+        // A scan at the next build recomputes the gate exactly.
+        self.promote_at = 0;
+    }
+
+    /// Whether `row_wanted`, `starved_in` and `promote_at` agree with
+    /// a recount of the queue. Linear and allocation-free, because the
+    /// debug builds of the allocation guard run it on every build: it
+    /// takes each queued transaction's share off its bank's counters,
+    /// checks that every counter is then zero, and puts the shares
+    /// back.
+    fn bank_state_matches_queue(&mut self) -> bool {
+        let cap = self.cfg.starvation_cap;
+        let gate_ok = self
+            .queue
+            .iter()
+            .all(|t| t.starved || t.arrival.saturating_add(cap + 1) >= self.promote_at);
+        let mut zeroed = false;
+        for take in [true, false] {
+            let step = |c: &mut u32| {
+                *c = if take {
+                    c.wrapping_sub(1)
+                } else {
+                    c.wrapping_add(1)
+                }
+            };
+            for txn in &self.queue {
+                let (idx, d) = (self.bank_slot(&txn.loc), dir_slot(txn));
+                if self.timing.bank(txn.loc.rank, txn.loc.bank).open_row == Some(txn.loc.row) {
+                    step(&mut self.row_wanted[idx][d]);
+                }
+                if txn.starved {
+                    step(&mut self.starved_in[idx][d]);
+                }
+            }
+            if take {
+                let zero = |v: &[[u32; 2]]| v.iter().all(|c| *c == [0; 2]);
+                zeroed = zero(&self.row_wanted) && zero(&self.starved_in);
+            }
+        }
+        gate_ok && zeroed
+    }
+
     fn issue_candidate(&mut self, cand: Candidate) {
         let now = self.now;
         self.no_cand_until = 0;
@@ -975,12 +1068,22 @@ impl ChannelController {
         match cand.cmd.kind {
             CommandKind::Activate => {
                 self.queue[cand.txn].caused_activate = true;
+                let loc = self.queue[cand.txn].loc;
+                self.recount_row_wanted(&loc);
             }
             CommandKind::Precharge => {
                 self.queue[cand.txn].caused_precharge = true;
+                let idx = self.bank_slot(&self.queue[cand.txn].loc);
+                self.row_wanted[idx] = [0; 2];
             }
             CommandKind::Read | CommandKind::Write => {
                 let txn = self.queue.swap_remove(cand.txn);
+                // A CAS always targets its bank's open row.
+                let (idx, d) = (self.bank_slot(&txn.loc), dir_slot(&txn));
+                self.row_wanted[idx][d] -= 1;
+                if txn.starved {
+                    self.starved_in[idx][d] -= 1;
+                }
                 if !txn.is_read() {
                     self.queued_writes -= 1;
                 } else if txn.req.crit.is_critical() {
@@ -1147,6 +1250,7 @@ impl ChannelController {
         self.refresh_check_at = r.get_u64()?;
         // Candidate-emptiness proofs do not survive a restore; rebuild.
         self.no_cand_until = 0;
+        self.recount_bank_state();
         let sched = r.get_bytes()?;
         if load_scheduler {
             let mut sr = critmem_common::codec::ByteReader::new(&sched);
@@ -1160,6 +1264,12 @@ impl ChannelController {
         }
         Ok(())
     }
+}
+
+/// Direction slot of a transaction in the per-bank counters: 0 for
+/// reads and prefetches, 1 for writes.
+fn dir_slot(txn: &Transaction) -> usize {
+    usize::from(!txn.is_read())
 }
 
 #[cfg(test)]
@@ -1377,5 +1487,125 @@ mod refresh_gate_tests {
             ctl.tick();
         }
         assert_eq!(ctl.stats().refreshes, 0);
+    }
+}
+
+#[cfg(test)]
+mod bank_state_tests {
+    use super::*;
+    use crate::mapping::{AddressMapping, Interleaving};
+    use crate::scheduler::Fcfs;
+    use critmem_common::codec::{ByteReader, ByteWriter};
+    use critmem_common::{AccessKind, BankId, CoreId, Criticality, SmallRng};
+
+    /// Recounts `row_wanted` and `starved_in` from the queue and checks
+    /// the promotion gate against every non-promoted transaction.
+    fn assert_matches_recount(ctl: &ChannelController, step: u64) {
+        let bpr = ctl.timing.banks_per_rank();
+        let mut wanted = vec![[0u32; 2]; ctl.row_wanted.len()];
+        let mut starved = wanted.clone();
+        for txn in &ctl.queue {
+            let idx = txn.loc.rank.index() * bpr + txn.loc.bank.index();
+            if ctl.timing.bank(txn.loc.rank, txn.loc.bank).open_row == Some(txn.loc.row) {
+                wanted[idx][dir_slot(txn)] += 1;
+            }
+            if txn.starved {
+                starved[idx][dir_slot(txn)] += 1;
+            } else {
+                assert!(
+                    txn.arrival + ctl.cfg.starvation_cap + 1 >= ctl.promote_at,
+                    "promotion gate past a pending crossing at step {step}"
+                );
+            }
+        }
+        assert_eq!(ctl.row_wanted, wanted, "row_wanted at step {step}");
+        assert_eq!(ctl.starved_in, starved, "starved_in at step {step}");
+    }
+
+    fn state_bytes(ctl: &ChannelController) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        ctl.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    /// Draws one request (light and heavy, read- and write-heavy
+    /// phases over 32 banks x 6 rows) and offers it to every
+    /// controller in `ctls`.
+    fn offer(
+        ctls: &mut [&mut ChannelController],
+        rng: &mut SmallRng,
+        map: &AddressMapping,
+        id: u64,
+    ) {
+        let phase = id / 1_500;
+        if !rng.gen_bool([0.05, 0.3][phase as usize % 2]) {
+            return;
+        }
+        let kind = if rng.gen_bool([0.15, 0.7][(phase / 2) as usize % 2]) {
+            AccessKind::Write
+        } else if rng.gen_bool(0.1) {
+            AccessKind::Prefetch
+        } else {
+            AccessKind::Read
+        };
+        let addr = rng.gen_range(0..192) * 4_096 + rng.gen_range(0..16) * 64;
+        let crit = if rng.gen_bool(0.3) {
+            Criticality::ranked(rng.gen_range(1..100))
+        } else {
+            Criticality::non_critical()
+        };
+        let req = MemRequest::new(id, addr, kind, CoreId((id % 8) as u8)).with_criticality(crit);
+        for ctl in ctls {
+            let _ = ctl.enqueue(req, map.locate(addr));
+        }
+    }
+
+    /// Drives every input that moves the per-bank counters — enqueues,
+    /// CAS, ACT, candidate and refresh PREs, promotions, a wedged bank,
+    /// a rogue decision, a scheduler swap — and checks them against a
+    /// recount after each step. Then restores a mid-run snapshot, taken
+    /// while the wedged bank holds starved transactions, into a fresh
+    /// controller and checks that both run on byte-identically.
+    #[test]
+    fn per_bank_counters_match_a_recount_through_every_input() {
+        let mut cfg = DramConfig::paper_baseline();
+        cfg.starvation_cap = 150;
+        let map = AddressMapping::new(cfg.org, Interleaving::Page);
+        let mut ctl = ChannelController::new(ChannelId(0), cfg, Box::new(Fcfs::new()));
+        let mut rng = SmallRng::seed_from_u64(0xBA4C);
+        for step in 0..11_000u64 {
+            offer(&mut [&mut ctl], &mut rng, &map, step);
+            assert_matches_recount(&ctl, step);
+            match step {
+                6_000 => ctl.wedge_bank(RankId(1), BankId(3)),
+                7_000 => ctl.corrupt_decision(),
+                8_000 => ctl.replace_scheduler(Box::new(Fcfs::new())),
+                _ => {}
+            }
+            ctl.tick();
+            assert_matches_recount(&ctl, step);
+        }
+        let wedged = RankId(1).index() * ctl.timing.banks_per_rank() + 3;
+        assert!(ctl.starved_in[wedged][0] + ctl.starved_in[wedged][1] > 0);
+        assert!(ctl.stats.refreshes > 0 && ctl.stats.writes_completed > 0);
+
+        let bytes = state_bytes(&ctl);
+        let mut restored = ChannelController::new(ChannelId(0), cfg, Box::new(Fcfs::new()));
+        restored
+            .load_state(&mut ByteReader::new(&bytes), true)
+            .unwrap();
+        assert_matches_recount(&restored, 11_000);
+        for step in 11_000..16_000u64 {
+            offer(&mut [&mut ctl, &mut restored], &mut rng, &map, step);
+            let (a, b) = (ctl.tick(), restored.tick());
+            assert_eq!(a, b, "completions diverged at step {step}");
+            assert_matches_recount(&restored, step);
+            assert_eq!(
+                state_bytes(&ctl),
+                state_bytes(&restored),
+                "restored controller diverged at step {step}"
+            );
+        }
+        assert!(ctl.stats.starvation_promotions > 0);
     }
 }

@@ -120,12 +120,6 @@ impl DramSystem {
         self.controllers[loc.channel.index()].enqueue(req, loc)
     }
 
-    /// Whether the channel that would service `addr` has queue space.
-    pub fn has_space_for(&self, addr: u64) -> bool {
-        let loc = self.mapping.locate(addr);
-        self.controllers[loc.channel.index()].has_space()
-    }
-
     /// Raises the criticality of a queued request (located by its
     /// address's home channel). Returns `true` if the request was still
     /// queued there. Used by the §5.1 naive forwarding scheme.

@@ -276,7 +276,8 @@ fn replay_dense(scheduler: SchedulerKind, cfg: ReplayConfig) -> critmem_trace::R
             .replace("::", "-")
     ));
     dense_trace(3_000).save(&path).unwrap();
-    let out = critmem::experiments::stream_replay(&path, scheduler, cfg);
+    let stream = critmem_trace::TraceStream::open(&path).unwrap();
+    let out = critmem::experiments::stream_replay(stream, scheduler, cfg);
     std::fs::remove_file(&path).ok();
     out.unwrap_or_else(|e| panic!("{e}")).stats
 }

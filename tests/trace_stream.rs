@@ -65,7 +65,8 @@ fn streamed_replay_is_byte_identical_to_in_memory() {
             .with_sample_window(4),
     ] {
         let memory = replay_in_memory(Trace::load(&path).unwrap(), cfg);
-        let streamed = stream_replay(&path, SchedulerKind::FrFcfs, cfg).unwrap();
+        let stream = TraceStream::open(&path).unwrap();
+        let streamed = stream_replay(stream, SchedulerKind::FrFcfs, cfg).unwrap();
         assert_eq!(
             stats_bytes(&memory),
             stats_bytes(&streamed.stats),
@@ -105,7 +106,8 @@ fn parallel_jobs2_capture_streams_identically() {
     let path = temp_path("jobs2");
     pooled.save(&path).unwrap();
     let memory = replay_in_memory(pooled, ReplayConfig::default());
-    let streamed = stream_replay(&path, SchedulerKind::FrFcfs, ReplayConfig::default()).unwrap();
+    let stream = TraceStream::open(&path).unwrap();
+    let streamed = stream_replay(stream, SchedulerKind::FrFcfs, ReplayConfig::default()).unwrap();
     std::fs::remove_file(&path).ok();
     assert_eq!(stats_bytes(&memory), stats_bytes(&streamed.stats));
 }
@@ -138,7 +140,8 @@ fn torn_and_corrupt_files_yield_typed_errors() {
     // typed SimError, not a panic.
     let path = temp_path("corrupt");
     std::fs::write(&path, &corrupt).unwrap();
-    let err = stream_replay(&path, SchedulerKind::FrFcfs, ReplayConfig::default()).unwrap_err();
+    let stream = TraceStream::open(&path).unwrap();
+    let err = stream_replay(stream, SchedulerKind::FrFcfs, ReplayConfig::default()).unwrap_err();
     std::fs::remove_file(&path).ok();
     assert!(
         matches!(err, critmem_common::SimError::Trace(_)),
