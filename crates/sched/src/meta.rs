@@ -202,14 +202,15 @@ impl CommandScheduler for MetaSwitch {
             return;
         }
         let occupancy = ctx.queue.len();
-        let oldest = ctx.queue.iter().map(|t| t.age(ctx.now)).max().unwrap_or(0);
+        // A queue walk, so taken only when occupancy leaves it open.
+        let oldest = || ctx.queue.iter().map(|t| t.age(ctx.now)).max().unwrap_or(0);
         match self.mode {
             Mode::Perf
-                if occupancy >= self.cfg.high_occupancy || oldest >= self.cfg.stall_watermark =>
+                if occupancy >= self.cfg.high_occupancy || oldest() >= self.cfg.stall_watermark =>
             {
                 self.switch_to(Mode::Fair, ctx.now);
             }
-            Mode::Fair if occupancy <= self.cfg.low_occupancy && oldest <= self.cfg.low_stall => {
+            Mode::Fair if occupancy <= self.cfg.low_occupancy && oldest() <= self.cfg.low_stall => {
                 self.switch_to(Mode::Perf, ctx.now);
             }
             _ => {}
