@@ -112,6 +112,18 @@ fn fail(err: SimError) -> ! {
     std::process::exit(err.exit_code());
 }
 
+/// [`fail`] for a replay of `file`. Everything a file replay reports as
+/// a trace error (a torn or corrupt chunk found mid-replay, a bad
+/// fingerprint, a record from a core the trace lacks) comes from the
+/// file, so it is worded as reading the file at open is.
+fn fail_replay(file: &str, err: SimError) -> ! {
+    if let SimError::Trace(msg) = &err {
+        eprintln!("cannot read {file}: {msg}");
+        std::process::exit(err.exit_code());
+    }
+    fail(err)
+}
+
 /// The engine-level knobs shared by every subcommand: sweep-level
 /// worker threads, skip-ahead and auditing. None of them change
 /// results.
@@ -181,7 +193,7 @@ fn trace_main(args: Vec<String>, scale: Scale, knobs: EngineKnobs) -> ! {
                 std::process::exit(1);
             });
             let stats = critmem::replay(TraceSource::from(trace), sched, replay_cfg)
-                .unwrap_or_else(|e| fail(e));
+                .unwrap_or_else(|e| fail_replay(&file, e));
             println!(
                 "replayed {} requests under {} in {} CPU cycles",
                 stats.completed,
@@ -199,7 +211,8 @@ fn trace_main(args: Vec<String>, scale: Scale, knobs: EngineKnobs) -> ! {
                 eprintln!("cannot read {file}: {e}");
                 std::process::exit(1);
             });
-            let out = stream_replay(stream, sched, replay_cfg).unwrap_or_else(|e| fail(e));
+            let out =
+                stream_replay(stream, sched, replay_cfg).unwrap_or_else(|e| fail_replay(&file, e));
             println!(
                 "streamed {} requests ({} chunks) under {} in {} CPU cycles",
                 out.records_read,

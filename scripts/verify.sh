@@ -96,14 +96,19 @@ expect_torn() {
     exit 1
   fi
 }
-expect_torn ./target/release/repro trace replay "$tmp/torn.cmtr" --sched fr-fcfs
-# Both trace readers word a cut header alike, naming the file.
-for sub in replay stream; do
-  expect_torn ./target/release/repro trace "$sub" "$tmp/torn-header.cmtr" --sched fr-fcfs
-  if ! grep -qxF "cannot read $tmp/torn-header.cmtr: corrupt trace: truncated header" \
-    "$tmp/torn.err"; then
-    echo "torn artifact smoke: 'trace $sub' worded a cut header as:" >&2
-    cat "$tmp/torn.err" >&2
+# Both trace readers word a cut tail and a cut header alike, naming
+# the file, whether the damage is met at open or mid-replay.
+for cut in 'torn|stream truncated mid-chunk checksum \([0-9]+ of [0-9]+ bytes\)' \
+  'torn-header|truncated header'; do
+  name=${cut%%|*}
+  for sub in replay stream; do
+    expect_torn ./target/release/repro trace "$sub" "$tmp/$name.cmtr" --sched fr-fcfs
+    cp "$tmp/torn.err" "$tmp/torn.$sub.err"
+  done
+  if ! grep -qxE "cannot read $tmp/$name.cmtr: corrupt trace: ${cut#*|}" "$tmp/torn.replay.err" ||
+    ! cmp -s "$tmp/torn.replay.err" "$tmp/torn.stream.err"; then
+    echo "torn artifact smoke: 'trace replay' and 'trace stream' worded $name.cmtr as:" >&2
+    cat "$tmp/torn.replay.err" "$tmp/torn.stream.err" >&2
     exit 1
   fi
 done
