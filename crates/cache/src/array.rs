@@ -228,16 +228,6 @@ impl CacheArray {
         (self.hits, self.misses)
     }
 
-    /// Hit rate over probes so far (0 if never probed).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
     /// Number of sets.
     pub fn sets(&self) -> usize {
         self.sets

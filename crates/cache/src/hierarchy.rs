@@ -318,11 +318,6 @@ impl CacheHierarchy {
         &self.stats
     }
 
-    /// Per-core L1 hit rate.
-    pub fn l1_hit_rate(&self, core: CoreId) -> f64 {
-        self.l1d[core.index()].hit_rate()
-    }
-
     /// Whether a demand access by `core` to `addr` would bounce off a
     /// full MSHR file, and off which one, without side effects. It
     /// mirrors [`Self::access`]'s order: an L1 hit or a merge onto a

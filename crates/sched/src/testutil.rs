@@ -38,19 +38,6 @@ pub fn mk_txn_at(core: u8, bank: u8, row: u32, seq: u64, crit_mag: u64) -> Trans
     Transaction::new(req, loc, seq, seq)
 }
 
-/// Builds a write transaction.
-pub fn mk_write_txn(core: u8, bank: u8, row: u32, seq: u64) -> Transaction {
-    let req = MemRequest::new(seq, 0, AccessKind::Write, CoreId(core));
-    let loc = DramLocation {
-        channel: ChannelId(0),
-        rank: RankId(0),
-        bank: BankId(bank),
-        row,
-        column: 0,
-    };
-    Transaction::new(req, loc, seq, seq)
-}
-
 /// Builds a candidate for queue entry `txn`.
 pub fn mk_candidate(txn: usize, kind: CommandKind, row_hit: bool, crit_mag: u64) -> Candidate {
     Candidate {
@@ -62,21 +49,6 @@ pub fn mk_candidate(txn: usize, kind: CommandKind, row_hit: bool, crit_mag: u64)
             row: 0,
         },
         row_hit,
-        crit: Criticality::ranked(crit_mag),
-    }
-}
-
-/// Builds a candidate with an explicit bank.
-pub fn mk_candidate_bank(txn: usize, kind: CommandKind, bank: u8, crit_mag: u64) -> Candidate {
-    Candidate {
-        txn,
-        cmd: DramCommand {
-            kind,
-            rank: RankId(0),
-            bank: BankId(bank),
-            row: 0,
-        },
-        row_hit: kind.is_cas(),
         crit: Criticality::ranked(crit_mag),
     }
 }

@@ -51,16 +51,6 @@ fn branch() -> StaticOp {
     StaticOp::new(OpClass::Branch)
 }
 
-/// A hot unit-stride stream load over a DRAM-sized array, with a
-/// dependent consumer: misses to DRAM once every eight iterations.
-/// Like most loads in real code (the paper measures ~85% single-
-/// consumer), streaming values feed one operation.
-#[allow(dead_code)] // kept alongside hot_group for single-stream app variants
-fn hot_stream(ops: &mut Vec<StaticOp>, region: u64) {
-    ops.push(load(AddrPattern::Stream { stride: 8, region }));
-    ops.push(fp().dep(DepSpec::PrevLoad));
-}
-
 /// A *group* of `n` back-to-back independent hot stream loads over
 /// distinct DRAM-sized arrays, with the consumers emitted after all
 /// the loads. Because the loads are independent and unit-stride, their
