@@ -1,17 +1,15 @@
 //! Benchmarks for the experiment engine and the controller hot path —
 //! the two halves of the "parallel engine + hot-path overhaul" work.
 //!
-//! Beyond the usual timing printout, this bench writes
-//! `BENCH_engine.json` at the workspace root: the measured after
-//! numbers next to the recorded pre-overhaul baseline, so the speedup
-//! claims in DESIGN.md are regenerable with `cargo bench --bench
-//! engine`.
+//! This bench writes `BENCH_engine.json` at the workspace root: the
+//! measured after numbers next to the recorded pre-overhaul baseline,
+//! so the speedup claims in DESIGN.md are regenerable with `cargo
+//! bench --bench engine`.
 
 use critmem::config::PredictorKind;
 use critmem::experiments::{fig10, fig11, stream_replay, synth_replay, Runner, Scale};
 use critmem::pool::default_jobs;
 use critmem::{AgentMix, RunStats, Session, SystemConfig};
-use critmem_bench::{black_box, Criterion};
 use critmem_common::codec::ByteWriter;
 use critmem_common::{AccessKind, ChannelId, CoreId, Criticality, MemRequest};
 use critmem_dram::{AddressMapping, ChannelController, DramConfig, Interleaving};
@@ -20,6 +18,7 @@ use critmem_sched::{FrFcfs, SchedulerKind};
 use critmem_trace::{
     CoreProfile, Fingerprint, ReplayConfig, TraceStream, TrafficProfile, CHUNK_BYTES,
 };
+use std::hint::black_box;
 use std::time::Instant;
 
 /// Pre-overhaul numbers, measured on the same harness (loaded/idle
@@ -181,7 +180,7 @@ fn measure_streaming() -> StreamingNumbers {
     let mut r = Runner::new(Scale::quick());
     r.jobs = 1;
     let trace = r.capture("swim");
-    let path = std::env::temp_dir().join(format!("critmem-bench-{}.cmtr", std::process::id()));
+    let path = std::env::temp_dir().join(format!("critmem-engine-{}.cmtr", std::process::id()));
     trace.save(&path).expect("save bench trace");
     let stream = TraceStream::open(&path).expect("open bench trace");
     let streamed = stream_replay(stream, SchedulerKind::FrFcfs, ReplayConfig::default())
@@ -255,31 +254,6 @@ fn measure_skip_ahead() -> (f64, f64) {
 }
 
 fn main() {
-    // Display benches through the usual harness first.
-    let mut c = Criterion::default();
-    let mut g = c.benchmark_group("engine");
-    g.sample_size(5);
-    g.bench_function("channel_tick_loaded", |b| {
-        let (mut ctl, map) = loaded_controller();
-        let mut next_id = 48u64;
-        let mut done = Vec::with_capacity(16);
-        b.iter(|| {
-            done.clear();
-            ctl.tick_into(&mut done);
-            for _ in &done {
-                enqueue(&mut ctl, &map, next_id);
-                next_id += 1;
-            }
-        });
-    });
-    g.bench_function("channel_tick_idle", |b| {
-        let cfg = DramConfig::paper_baseline();
-        let mut ctl = ChannelController::new(ChannelId(0), cfg, Box::new(FrFcfs::new()));
-        let mut done = Vec::new();
-        b.iter(|| ctl.tick_into(&mut done));
-    });
-    g.finish();
-
     // The recorded before/after study.
     let loaded = measure_loaded_mticks(2_000_000);
     let idle = measure_idle_mticks(20_000_000);

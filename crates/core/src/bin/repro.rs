@@ -24,25 +24,25 @@
 //! repro audit inject <spec>         inject one fault, exit with its class code
 //!
 //! experiments: config fig1 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10
-//!              fig11 fig12 table5 table7 naive reset tracesweep all
+//!              fig11 fig12 table5 table7 naive reset ablate tracesweep all
 //!              (default: all)
 //! ```
 
 use critmem::config::PredictorKind;
 use critmem::experiments::{
-    self, config_dump, fairness_frontier, fig1, fig10, fig11, fig12, fig3, fig4, fig5, fig6, fig7,
-    fig8, fig9, hetero_study, naive, reset_study, stats_export, stream_replay, synth_replay,
-    table5, table7, trace_sweep, Runner, Scale,
+    self, ablations, config_dump, fairness_frontier, fig1, fig10, fig11, fig12, fig3, fig4, fig5,
+    fig6, fig7, fig8, fig9, hetero_study, naive, reset_study, stats_export, stream_replay,
+    synth_replay, table5, table7, trace_sweep, Runner, Scale,
 };
 use critmem::journal::SweepJournal;
 use critmem::{AgentMix, Checkpoint, Session, SystemConfig};
-use critmem_common::SimError;
+use critmem_common::{SeriesExport, SimError};
 use critmem_predict::CbpMetric;
 use critmem_sched::SchedulerKind;
 use critmem_trace::{ReplayConfig, Trace, TraceSource, TraceStream, TrafficProfile};
 
 /// Every name the figure/table runner accepts.
-const EXPERIMENTS: [&str; 18] = [
+const EXPERIMENTS: [&str; 19] = [
     "config",
     "fig1",
     "fig3",
@@ -59,6 +59,7 @@ const EXPERIMENTS: [&str; 18] = [
     "table7",
     "naive",
     "reset",
+    "ablate",
     "tracesweep",
     "all",
 ];
@@ -522,13 +523,53 @@ fn checkpoint_main(args: Vec<String>, scale: Scale, knobs: EngineKnobs) -> ! {
     }
 }
 
+/// The `--format jsonl|csv` / `--out <file>` pair shared by the export
+/// subcommands (`stats`, `fairness`, `hetero`).
+#[derive(Default)]
+struct ExportFlags {
+    csv: bool,
+    out: Option<String>,
+}
+
+impl ExportFlags {
+    /// Records `flag`'s value, or exits with usage if it is missing or
+    /// not a known format.
+    fn set(&mut self, flag: &str, value: Option<String>) {
+        match (flag, value.as_deref()) {
+            ("--format", Some("jsonl")) => self.csv = false,
+            ("--format", Some("csv")) => self.csv = true,
+            ("--out", Some(_)) => self.out = value,
+            _ => usage(),
+        }
+    }
+
+    /// Writes `export` to the `--out` file, reporting `summary` on
+    /// stderr, or prints it to stdout when no file was given.
+    fn emit(&self, export: &SeriesExport, summary: &str) {
+        let text = if self.csv {
+            export.to_csv()
+        } else {
+            export.to_jsonl()
+        };
+        match &self.out {
+            Some(file) => {
+                std::fs::write(file, &text).unwrap_or_else(|e| {
+                    eprintln!("cannot write {file}: {e}");
+                    std::process::exit(1);
+                });
+                eprintln!("wrote {summary} -> {file}");
+            }
+            None => print!("{text}"),
+        }
+    }
+}
+
 fn stats_main(args: Vec<String>, scale: Scale, knobs: EngineKnobs) -> ! {
     let mut apps: Vec<&'static str> = Vec::new();
     let mut sched = SchedulerKind::CasRasCrit;
     let mut pred = PredictorKind::cbp64(CbpMetric::MaxStallTime);
     let mut epoch = 10_000u64;
-    let mut format = "jsonl".to_string();
-    let mut out: Option<String> = None;
+    let mut export_flags = ExportFlags::default();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -544,14 +585,7 @@ fn stats_main(args: Vec<String>, scale: Scale, knobs: EngineKnobs) -> ! {
                 Some(n) if n > 0 => epoch = n,
                 _ => usage(),
             },
-            "--format" => match it.next().as_deref() {
-                Some(f @ ("jsonl" | "csv")) => format = f.to_string(),
-                _ => usage(),
-            },
-            "--out" => match it.next() {
-                Some(f) => out = Some(f),
-                None => usage(),
-            },
+            flag @ ("--format" | "--out") => export_flags.set(flag, it.next()),
             app => apps.push(static_app(app)),
         }
     }
@@ -562,25 +596,15 @@ fn stats_main(args: Vec<String>, scale: Scale, knobs: EngineKnobs) -> ! {
     r.verbose = true;
     knobs.apply(&mut r);
     let export = stats_export(&mut r, &apps, sched, pred, epoch);
-    let text = match format.as_str() {
-        "csv" => export.to_csv(),
-        _ => export.to_jsonl(),
-    };
-    match out {
-        Some(file) => {
-            std::fs::write(&file, &text).unwrap_or_else(|e| {
-                eprintln!("cannot write {file}: {e}");
-                std::process::exit(1);
-            });
-            let samples: usize = export.runs.iter().map(|r| r.series.len()).sum();
-            eprintln!(
-                "wrote {} runs, {samples} samples, {} metrics/sample -> {file}",
-                export.runs.len(),
-                export.runs.first().map_or(0, |r| r.series.schema().len())
-            );
-        }
-        None => print!("{text}"),
-    }
+    let samples: usize = export.runs.iter().map(|r| r.series.len()).sum();
+    export_flags.emit(
+        &export,
+        &format!(
+            "{} runs, {samples} samples, {} metrics/sample",
+            export.runs.len(),
+            export.runs.first().map_or(0, |r| r.series.schema().len())
+        ),
+    );
     std::process::exit(0);
 }
 
@@ -600,19 +624,11 @@ fn static_bundle(name: &str) -> &'static str {
 
 fn fairness_main(args: Vec<String>, mut scale: Scale, knobs: EngineKnobs) -> ! {
     let mut bundles: Vec<&'static str> = Vec::new();
-    let mut format = "jsonl".to_string();
-    let mut out: Option<String> = None;
+    let mut export_flags = ExportFlags::default();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--format" => match it.next().as_deref() {
-                Some(f @ ("jsonl" | "csv")) => format = f.to_string(),
-                _ => usage(),
-            },
-            "--out" => match it.next() {
-                Some(f) => out = Some(f),
-                None => usage(),
-            },
+            flag @ ("--format" | "--out") => export_flags.set(flag, it.next()),
             b => bundles.push(static_bundle(b)),
         }
     }
@@ -625,43 +641,25 @@ fn fairness_main(args: Vec<String>, mut scale: Scale, knobs: EngineKnobs) -> ! {
     let frontier = fairness_frontier(&mut r);
     println!("{}", frontier.to_table());
     let export = frontier.to_export();
-    let text = match format.as_str() {
-        "csv" => export.to_csv(),
-        _ => export.to_jsonl(),
-    };
-    match out {
-        Some(file) => {
-            std::fs::write(&file, &text).unwrap_or_else(|e| {
-                eprintln!("cannot write {file}: {e}");
-                std::process::exit(1);
-            });
-            eprintln!(
-                "wrote {} schedulers x {} bundles -> {file}",
-                export.runs.len(),
-                frontier.bundles.len()
-            );
-        }
-        None => print!("{text}"),
-    }
+    export_flags.emit(
+        &export,
+        &format!(
+            "{} schedulers x {} bundles",
+            export.runs.len(),
+            frontier.bundles.len()
+        ),
+    );
     eprintln!("{} distinct simulations executed", r.runs_executed());
     std::process::exit(0);
 }
 
 fn hetero_main(args: Vec<String>, scale: Scale, knobs: EngineKnobs) -> ! {
     let mut mixes: Vec<(String, AgentMix)> = Vec::new();
-    let mut format = "jsonl".to_string();
-    let mut out: Option<String> = None;
+    let mut export_flags = ExportFlags::default();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--format" => match it.next().as_deref() {
-                Some(f @ ("jsonl" | "csv")) => format = f.to_string(),
-                _ => usage(),
-            },
-            "--out" => match it.next() {
-                Some(f) => out = Some(f),
-                None => usage(),
-            },
+            flag @ ("--format" | "--out") => export_flags.set(flag, it.next()),
             spec => {
                 // Grammar parse errors surface as typed
                 // SimError::UnknownWorkload (exit code 2).
@@ -685,24 +683,14 @@ fn hetero_main(args: Vec<String>, scale: Scale, knobs: EngineKnobs) -> ! {
     let study = hetero_study(&mut r, &mixes);
     println!("{}", study.to_table());
     let export = study.to_export();
-    let text = match format.as_str() {
-        "csv" => export.to_csv(),
-        _ => export.to_jsonl(),
-    };
-    match out {
-        Some(file) => {
-            std::fs::write(&file, &text).unwrap_or_else(|e| {
-                eprintln!("cannot write {file}: {e}");
-                std::process::exit(1);
-            });
-            eprintln!(
-                "wrote {} schedulers x {} mixes -> {file}",
-                export.runs.len(),
-                study.mixes.len()
-            );
-        }
-        None => print!("{text}"),
-    }
+    export_flags.emit(
+        &export,
+        &format!(
+            "{} schedulers x {} mixes",
+            export.runs.len(),
+            study.mixes.len()
+        ),
+    );
     eprintln!("{} distinct simulations executed", r.runs_executed());
     if r.has_failures() {
         for f in r.failures() {
@@ -939,6 +927,11 @@ fn main() {
     if want("reset") {
         println!("{}", r.run_parallel(reset_study).to_table());
     }
+    if want("ablate") {
+        for table in r.run_parallel(ablations).to_tables() {
+            println!("{table}");
+        }
+    }
     if want("tracesweep") {
         // `trace_sweep` drives `run_parallel` itself, one phase at a
         // time, so its wall-clock numbers stay meaningful.
@@ -946,7 +939,6 @@ fn main() {
         println!("{}", sweep.to_table());
         println!("{}", sweep.timing_summary());
     }
-    let _ = &experiments::TextTable::pct(1.0);
     eprintln!("\n{} distinct simulations executed", r.runs_executed());
     if r.has_failures() {
         println!("\n=== Failed cells ===");

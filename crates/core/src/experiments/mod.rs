@@ -6,6 +6,7 @@
 //! returns a structured result with a `to_table()` text rendering —
 //! the same rows/series the paper's figure reports.
 
+pub mod ablations;
 pub mod audit;
 pub mod compare;
 pub mod fairness;
@@ -18,6 +19,7 @@ pub mod streaming;
 pub mod tables;
 pub mod trace_sweep;
 
+pub use ablations::{ablations, Ablations};
 pub use audit::{
     audit_schedulers, campaign, certify, inject, AuditCertification, CampaignRow, CertifyRow,
     Detection, FaultCampaign,

@@ -459,15 +459,29 @@ impl<O: RequestObserver> System<O> {
         observer: O,
     ) -> Result<Self, SimError> {
         cfg.validate().map_err(SimError::Config)?;
-        let sources: Vec<Box<dyn InstrSource>> = match workload {
+        // One walk of the workload builds every producer: each core's
+        // instruction source and QoS budget, and the non-core agents.
+        let mut sources: Vec<Box<dyn InstrSource>> = Vec::new();
+        let mut qos = Vec::new();
+        let mut agents: Vec<Box<dyn MemoryAgent>> = Vec::new();
+        // An `alone` run or an `ooo` term may name any application.
+        let ooo_app = |app: &str| {
+            multi_app(app)
+                .or_else(|| parallel_app(app))
+                .ok_or_else(|| SimError::UnknownWorkload {
+                    kind: "application",
+                    name: app.to_string(),
+                })
+        };
+        match workload {
             AgentMix::Parallel(app) => {
                 let spec = parallel_app(app).ok_or_else(|| SimError::UnknownWorkload {
                     kind: "parallel app",
                     name: (*app).to_string(),
                 })?;
-                (0..cfg.cores)
-                    .map(|c| Box::new(AppThread::new(&spec, c, cfg.seed)) as Box<dyn InstrSource>)
-                    .collect()
+                for c in 0..cfg.cores {
+                    sources.push(Box::new(AppThread::new(&spec, c, cfg.seed)));
+                }
             }
             AgentMix::Bundle(name) => {
                 let bundle =
@@ -481,18 +495,13 @@ impl<O: RequestObserver> System<O> {
                         cfg.cores
                     )));
                 }
-                bundle
-                    .apps
-                    .iter()
-                    .enumerate()
-                    .map(|(c, app)| {
-                        let spec = multi_app(app).ok_or_else(|| SimError::UnknownWorkload {
-                            kind: "application",
-                            name: (*app).to_string(),
-                        })?;
-                        Ok(Box::new(AppThread::new(&spec, c, cfg.seed)) as Box<dyn InstrSource>)
-                    })
-                    .collect::<Result<_, SimError>>()?
+                for (c, app) in bundle.apps.iter().enumerate() {
+                    let spec = multi_app(app).ok_or_else(|| SimError::UnknownWorkload {
+                        kind: "application",
+                        name: (*app).to_string(),
+                    })?;
+                    sources.push(Box::new(AppThread::new(&spec, c, cfg.seed)));
+                }
             }
             AgentMix::Alone(app) => {
                 if cfg.cores != 1 {
@@ -501,103 +510,74 @@ impl<O: RequestObserver> System<O> {
                         cfg.cores
                     )));
                 }
-                let spec = multi_app(app)
-                    .or_else(|| parallel_app(app))
-                    .ok_or_else(|| SimError::UnknownWorkload {
-                        kind: "application",
-                        name: (*app).to_string(),
-                    })?;
-                vec![Box::new(AppThread::new(&spec, 0, cfg.seed)) as Box<dyn InstrSource>]
+                sources.push(Box::new(AppThread::new(&ooo_app(app)?, 0, cfg.seed)));
             }
             AgentMix::Hetero(specs) => {
-                let mut srcs: Vec<Box<dyn InstrSource>> = Vec::new();
-                for spec in specs.iter().filter(|s| s.class == AgentClass::Ooo) {
-                    let app = spec.profile;
-                    let app_spec =
-                        multi_app(app)
-                            .or_else(|| parallel_app(app))
-                            .ok_or_else(|| SimError::UnknownWorkload {
-                                kind: "application",
-                                name: app.to_string(),
+                for spec in specs {
+                    if spec.class == AgentClass::Ooo {
+                        let app_spec = ooo_app(spec.profile)?;
+                        for _ in 0..spec.count {
+                            let thread = sources.len();
+                            sources.push(Box::new(AppThread::new(&app_spec, thread, cfg.seed)));
+                            qos.push(spec.effective_qos_millis());
+                        }
+                    } else {
+                        for _ in 0..spec.count {
+                            let index = agents.len();
+                            let thread = cfg.cores + index;
+                            let target = target_units_for(spec.class, cfg.instructions_per_core);
+                            let agent = build_agent(
+                                spec.class,
+                                spec.profile,
+                                index,
+                                CoreId(thread as u8),
+                                spec.effective_qos_millis(),
+                                target,
+                                cfg.seed,
+                            )
+                            .ok_or_else(|| {
+                                SimError::UnknownWorkload {
+                                    kind: "agent profile",
+                                    name: format!("{}:{}", spec.class.keyword(), spec.profile),
+                                }
                             })?;
-                    for _ in 0..spec.count {
-                        let thread = srcs.len();
-                        srcs.push(Box::new(AppThread::new(&app_spec, thread, cfg.seed)));
+                            agents.push(agent);
+                        }
                     }
                 }
-                if srcs.len() != cfg.cores {
+                if sources.len() != cfg.cores {
                     return Err(SimError::Config(format!(
                         "mix has {} ooo agents but the configuration has {} cores",
-                        srcs.len(),
+                        sources.len(),
                         cfg.cores
                     )));
                 }
-                srcs
-            }
-        };
-        let cores: Vec<Core>;
-        let mut agents: Vec<Box<dyn MemoryAgent>> = Vec::new();
-        if let AgentMix::Hetero(specs) = workload {
-            let mut qos = Vec::new();
-            for spec in specs {
-                for _ in 0..spec.count {
-                    if spec.class == AgentClass::Ooo {
-                        qos.push(spec.effective_qos_millis());
-                    } else {
-                        let index = agents.len();
-                        let thread = cfg.cores + index;
-                        let target = target_units_for(spec.class, cfg.instructions_per_core);
-                        let agent = build_agent(
-                            spec.class,
-                            spec.profile,
-                            index,
-                            CoreId(thread as u8),
-                            spec.effective_qos_millis(),
-                            target,
-                            cfg.seed,
-                        )
-                        .ok_or_else(|| SimError::UnknownWorkload {
-                            kind: "agent profile",
-                            name: format!("{}:{}", spec.class.keyword(), spec.profile),
-                        })?;
-                        agents.push(agent);
-                    }
+                if agents.is_empty() && cfg.cores == 0 {
+                    return Err(SimError::Config("empty agent mix".to_string()));
+                }
+                if cfg.cores + agents.len() > 64 {
+                    return Err(SimError::Config(format!(
+                        "mix has {} participants (64 max)",
+                        cfg.cores + agents.len()
+                    )));
                 }
             }
-            if agents.is_empty() && cfg.cores == 0 {
-                return Err(SimError::Config("empty agent mix".to_string()));
-            }
-            if cfg.cores + agents.len() > 64 {
-                return Err(SimError::Config(format!(
-                    "mix has {} participants (64 max)",
-                    cfg.cores + agents.len()
-                )));
-            }
-            cores = qos
-                .into_iter()
-                .enumerate()
-                .map(|(c, millis)| {
-                    Core::new(
-                        CoreId(c as u8),
-                        cfg.core,
-                        build_predictor(cfg.predictor),
-                        u64::MAX / 2, // the system, not the core, ends the run
-                    )
-                    .with_qos_budget_millis(millis)
-                })
-                .collect();
-        } else {
-            cores = (0..cfg.cores)
-                .map(|c| {
-                    Core::new(
-                        CoreId(c as u8),
-                        cfg.core,
-                        build_predictor(cfg.predictor),
-                        u64::MAX / 2, // the system, not the core, ends the run
-                    )
-                })
-                .collect();
         }
+        // Cores outside a hetero mix keep the OoO class's default budget.
+        qos.resize(sources.len(), AgentClass::Ooo.default_qos_millis());
+        let cores = qos
+            .into_iter()
+            .enumerate()
+            .map(|(c, millis)| {
+                Core::new(
+                    CoreId(c as u8),
+                    cfg.core,
+                    build_predictor(cfg.predictor),
+                    u64::MAX / 2, // the system, not the core, ends the run
+                )
+                .with_qos_budget_millis(millis)
+            })
+            .collect();
         Ok(Self::assemble(cfg, cores, sources, agents, observer))
     }
 

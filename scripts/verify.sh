@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build, full test suite (unit + doc tests), docs,
-# trace capture/replay, checkpoint warm-start, and stats-export smoke
-# tests, and formatting. Run from anywhere inside the repo.
+# trace capture/replay, ablation, checkpoint warm-start and stats-export
+# smoke tests, and formatting. Run from anywhere inside the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -68,6 +68,17 @@ diff "$tmp/fig10.serial" "$tmp/fig10.noskip"
 # (regenerate with `cargo bench --bench engine`).
 grep -q '"skip_ahead"' BENCH_engine.json
 grep -q '"acceptance": "speedup >= 3 on the DRAM-bound idle-heavy probe; stats byte-identical (asserted here and in crates/core/tests/skip_ahead.rs)"' BENCH_engine.json
+
+echo "== ablation smoke test (three tables; serial == --jobs 2 == --no-skip-ahead)"
+./target/release/repro --scale quick --jobs 1 ablate > "$tmp/ablate.serial" 2>/dev/null
+for title in 'Ablation: Crit-CASRAS vs CASRAS-Crit' 'Ablation: starvation cap' \
+  'Ablation: address interleaving'; do
+  grep -q "^=== $title" "$tmp/ablate.serial"
+done
+./target/release/repro --scale quick --jobs 2 ablate > "$tmp/ablate.jobs2" 2>/dev/null
+diff "$tmp/ablate.serial" "$tmp/ablate.jobs2"
+./target/release/repro --scale quick --jobs 1 --no-skip-ahead ablate > "$tmp/ablate.noskip" 2>/dev/null
+diff "$tmp/ablate.serial" "$tmp/ablate.noskip"
 
 echo "== checkpoint warm-start smoke test"
 # Round-trip a CMCK artifact through the CLI, then check that a

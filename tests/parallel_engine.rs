@@ -3,7 +3,7 @@
 //! contents as a serial runner, for every experiment family the `repro`
 //! binary drives through [`Runner::run_parallel`].
 
-use critmem::experiments::{fig10, fig12, trace_sweep, Runner, Scale};
+use critmem::experiments::{ablations, fig10, fig12, trace_sweep, Runner, Scale};
 
 fn tiny_scale() -> Scale {
     Scale {
@@ -38,6 +38,21 @@ fn multiprog_identical_across_jobs() {
     let a = serial.run_parallel(fig12).to_table().to_string();
     let b = parallel.run_parallel(fig12).to_table().to_string();
     assert_eq!(a, b, "fig12 table must not depend on jobs");
+    assert_eq!(serial.memo_snapshot(), parallel.memo_snapshot());
+}
+
+#[test]
+fn ablations_identical_across_jobs() {
+    // The tagged cells (caps, cache-line interleaving) run their config
+    // tweaks through plan/execute like any untagged cell.
+    let tables = |r: &mut Runner| r.run_parallel(ablations).to_tables().map(|t| t.to_string());
+    let mut serial = runner(1);
+    let mut parallel = runner(2);
+    assert_eq!(
+        tables(&mut serial),
+        tables(&mut parallel),
+        "ablation tables must not depend on jobs"
+    );
     assert_eq!(serial.memo_snapshot(), parallel.memo_snapshot());
 }
 
