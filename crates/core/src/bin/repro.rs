@@ -25,7 +25,7 @@
 //!
 //! experiments: config fig1 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10
 //!              fig11 fig12 table5 table7 naive reset ablate tracesweep all
-//!              (default: all)
+//!              (default: all, which is every experiment but ablate)
 //! ```
 
 use critmem::config::PredictorKind;
@@ -836,7 +836,9 @@ fn main() {
         selected.push("all".to_string());
     }
     let all = selected.iter().any(|s| s == "all");
-    let want = |name: &str| all || selected.iter().any(|s| s == name);
+    // `ablate` runs only when named: at standard scale its ocean
+    // cache-line cell starves a write past the watchdog's age limit.
+    let want = |name: &str| (all && name != "ablate") || selected.iter().any(|s| s == name);
 
     let mut r = Runner::new(scale);
     r.verbose = true;

@@ -49,7 +49,7 @@ impl Ablations {
             caps.row(format!("cap {cap}"), vec![TextTable::pct(*avg)]);
         }
         let mut interleaving = TextTable::new(
-            "Ablation: address interleaving (FR-FCFS, cycles ratio page/cacheline)",
+            "Ablation: address interleaving (FR-FCFS, cycles ratio cacheline/page)",
             &["page vs cache-line"],
         );
         for (app, ratio) in self.apps.iter().zip(&self.interleaving) {

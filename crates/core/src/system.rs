@@ -513,6 +513,10 @@ impl<O: RequestObserver> System<O> {
                 sources.push(Box::new(AppThread::new(&ooo_app(app)?, 0, cfg.seed)));
             }
             AgentMix::Hetero(specs) => {
+                // Faults are reported in one order wherever they sit in
+                // the mix: an unknown application, then a core-count
+                // mismatch, then an unknown agent profile.
+                let mut unknown_profile = None;
                 for spec in specs {
                     if spec.class == AgentClass::Ooo {
                         let app_spec = ooo_app(spec.profile)?;
@@ -526,7 +530,7 @@ impl<O: RequestObserver> System<O> {
                             let index = agents.len();
                             let thread = cfg.cores + index;
                             let target = target_units_for(spec.class, cfg.instructions_per_core);
-                            let agent = build_agent(
+                            match build_agent(
                                 spec.class,
                                 spec.profile,
                                 index,
@@ -534,14 +538,15 @@ impl<O: RequestObserver> System<O> {
                                 spec.effective_qos_millis(),
                                 target,
                                 cfg.seed,
-                            )
-                            .ok_or_else(|| {
-                                SimError::UnknownWorkload {
-                                    kind: "agent profile",
-                                    name: format!("{}:{}", spec.class.keyword(), spec.profile),
+                            ) {
+                                Some(agent) => agents.push(agent),
+                                None => {
+                                    unknown_profile.get_or_insert(SimError::UnknownWorkload {
+                                        kind: "agent profile",
+                                        name: format!("{}:{}", spec.class.keyword(), spec.profile),
+                                    });
                                 }
-                            })?;
-                            agents.push(agent);
+                            }
                         }
                     }
                 }
@@ -551,6 +556,9 @@ impl<O: RequestObserver> System<O> {
                         sources.len(),
                         cfg.cores
                     )));
+                }
+                if let Some(err) = unknown_profile {
+                    return Err(err);
                 }
                 if agents.is_empty() && cfg.cores == 0 {
                     return Err(SimError::Config("empty agent mix".to_string()));
@@ -1459,6 +1467,7 @@ impl<O: RequestObserver> System<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::AgentSpec;
     use crate::session::Session;
     use critmem_predict::CbpMetric;
     use critmem_sched::SchedulerKind;
@@ -1819,6 +1828,26 @@ mod tests {
         cfg.cores = 4;
         let err = System::try_new(cfg, &mix).unwrap_err();
         assert!(matches!(err, SimError::Config(_)), "got {err}");
+    }
+
+    #[test]
+    fn hetero_mix_faults_are_reported_in_a_fixed_order() {
+        let bad_profile = AgentSpec {
+            profile: "no-such-profile",
+            ..AgentSpec::agent(AgentClass::Stream)
+        };
+        // The baseline has four cores.
+        let fault = |app, cores| {
+            let mix = AgentMix::Hetero(vec![bad_profile, AgentSpec::ooo(app).with_count(cores)]);
+            match System::try_new(SystemConfig::multiprogrammed_baseline(500), &mix) {
+                Err(SimError::Config(_)) => "config",
+                Err(SimError::UnknownWorkload { kind, .. }) => kind,
+                other => panic!("got {:?}", other.err()),
+            }
+        };
+        assert_eq!(fault("no-such-app", 2), "application");
+        assert_eq!(fault("mcf", 2), "config");
+        assert_eq!(fault("mcf", 4), "agent profile");
     }
 
     #[test]
