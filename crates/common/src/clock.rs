@@ -120,22 +120,6 @@ impl ClockDivider {
     pub fn fast_cycles(&self) -> u64 {
         self.fast_cycles
     }
-
-    /// Converts a duration measured in slow cycles to fast cycles,
-    /// rounding up. Useful for expressing DRAM-cycle thresholds (such as
-    /// the paper's 6,000-DRAM-cycle starvation cap) in CPU cycles.
-    #[inline]
-    pub fn slow_to_fast(&self, slow: u64) -> u64 {
-        // ceil(slow * fast / slow_hz)
-        (slow * self.fast_hz).div_ceil(self.slow_hz)
-    }
-
-    /// Converts a duration measured in fast cycles to slow cycles,
-    /// rounding down.
-    #[inline]
-    pub fn fast_to_slow(&self, fast: u64) -> u64 {
-        fast * self.slow_hz / self.fast_hz
-    }
 }
 
 impl crate::codec::Snapshot for ClockDivider {
@@ -203,15 +187,6 @@ mod tests {
         assert!(d.tick());
         assert_eq!(d.slow_cycles(), 2);
         assert_eq!(d.fast_cycles(), 2);
-    }
-
-    #[test]
-    fn conversion_round_trip_bounds() {
-        let d = ClockDivider::new(1_066, 4_270);
-        let fast = d.slow_to_fast(6_000);
-        // 6,000 DRAM cycles is a little over 24,000 CPU cycles.
-        assert!((24_000..24_100).contains(&fast), "fast = {fast}");
-        assert!(d.fast_to_slow(fast) >= 6_000);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   load/store queue all the way to the DRAM transaction queue,
 //!   carrying the criticality annotation ([`Criticality`]) that is the
 //!   heart of the paper,
-//! * [`stats`] — counters and histograms used for the evaluation,
+//! * [`stats`] — running means and histograms used for the evaluation,
 //! * [`obs`] — the unified observability layer: metric registration,
 //!   epoch sampling, and JSONL/CSV time-series export.
 //!
@@ -52,7 +52,7 @@ pub use ids::{BankId, ChannelId, CoreId, RankId, ThreadId};
 pub use mem::{AccessKind, Criticality, MemRequest, ReqId, RequestObserver};
 pub use obs::{MetricVisitor, Observable, Sampler, Schema, SeriesExport, SeriesSet};
 pub use rng::SmallRng;
-pub use stats::{Counter, Histogram, RunningMean};
+pub use stats::{Histogram, RunningMean};
 
 /// A cycle count in the CPU clock domain.
 pub type CpuCycle = u64;

@@ -27,8 +27,9 @@
 //! `crates/dram/tests/tick_alloc.rs`) is untouched. Sampling cost is
 //! `O(metrics)` every epoch, amortized to nothing.
 //!
-//! The exported formats are documented in DESIGN.md §6e and validated
-//! by a serialize → parse → compare round-trip test.
+//! The exported formats are documented in DESIGN.md §6e and pinned
+//! byte for byte by this module's tests. The sweep journal and the
+//! checkpoint carry a series in binary instead ([`SeriesSet::encode`]).
 //!
 //! # Examples
 //!
@@ -59,6 +60,7 @@
 //! assert_eq!(series.value(0, "widget.pulls"), Some(42.0));
 //! ```
 
+use crate::codec::{ByteReader, ByteWriter, CodecError, Snapshot};
 use std::fmt::Write as _;
 
 /// Whether a metric is a monotonically non-decreasing count or an
@@ -199,7 +201,6 @@ struct RowWriter<'a> {
     values: &'a mut Vec<f64>,
     /// Index of the next expected metric within the row.
     at: usize,
-    base: usize,
 }
 
 impl MetricVisitor for RowWriter<'_> {
@@ -210,7 +211,6 @@ impl MetricVisitor for RowWriter<'_> {
         debug_assert_eq!(def.kind, MetricKind::Counter);
         self.at += 1;
         self.values.push(value as f64);
-        let _ = self.base;
     }
     fn gauge(&mut self, name: &'static str, _unit: &'static str, value: f64) {
         let def = &self.schema.defs[self.at];
@@ -275,32 +275,90 @@ impl SeriesSet {
         self.row(row).get(i).copied()
     }
 
-    /// Serializes for the sweep journal, reusing the lossless JSONL
-    /// round trip (one single-run export under a fixed label).
-    pub fn encode(&self, w: &mut crate::codec::ByteWriter) {
-        let mut ex = SeriesExport::new(1);
-        ex.push("journal", self.clone());
-        w.put_str(&ex.to_jsonl());
+    /// Serializes for the sweep journal: the schema (a `u32` metric
+    /// count, then per metric its component, name, a `u8` kind tag —
+    /// 0 = counter, 1 = gauge — and unit), then the row block a
+    /// checkpoint's sampler holds.
+    pub fn encode(&self, w: &mut ByteWriter) {
+        w.put_u32(self.schema.len() as u32);
+        for d in self.schema.defs() {
+            w.put_str(&d.component);
+            w.put_str(d.name);
+            w.put_u8(match d.kind {
+                MetricKind::Counter => 0,
+                MetricKind::Gauge => 1,
+            });
+            w.put_str(d.unit);
+        }
+        self.put_rows(w);
     }
 
     /// Deserializes a journaled series.
     ///
     /// # Errors
     ///
-    /// Fails on a truncated stream or malformed embedded JSONL.
-    pub fn decode(r: &mut crate::codec::ByteReader<'_>) -> Result<Self, crate::codec::CodecError> {
-        let offset = r.position();
-        let text = r.get_str()?;
-        let ex = SeriesExport::parse_jsonl(&text)
-            .map_err(|message| crate::codec::CodecError { message, offset })?;
-        ex.runs
-            .into_iter()
-            .next()
-            .map(|run| run.series)
-            .ok_or_else(|| crate::codec::CodecError {
-                message: "journaled series export holds no run".into(),
-                offset,
+    /// Fails on a truncated stream, an unknown kind tag, or a row block
+    /// whose value count does not fill whole rows of the schema.
+    pub fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        let n = r.get_u32()? as usize;
+        let defs = (0..n)
+            .map(|_| {
+                let component = r.get_str()?;
+                let name = r.get_str()?;
+                let kind = match r.get_u8()? {
+                    0 => MetricKind::Counter,
+                    1 => MetricKind::Gauge,
+                    tag => {
+                        return Err(CodecError {
+                            message: format!("unknown metric kind tag {tag}"),
+                            offset: r.position() - 1,
+                        })
+                    }
+                };
+                let unit = r.get_str()?;
+                Ok(MetricDef {
+                    component,
+                    name: leak_name(&name),
+                    kind,
+                    unit: leak_name(&unit),
+                })
             })
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut series = SeriesSet::new(Schema { defs });
+        series.get_rows(r)?;
+        Ok(series)
+    }
+
+    /// Writes the row block: the `cycles` sequence, a `u32` value
+    /// count, then each value's raw `f64` bits.
+    fn put_rows(&self, w: &mut ByteWriter) {
+        w.put_u64_seq(&self.cycles);
+        w.put_u32(self.values.len() as u32);
+        for &v in &self.values {
+            w.put_f64(v);
+        }
+    }
+
+    /// Replaces this series' rows with a block [`Self::put_rows`]
+    /// wrote, rejecting one whose values do not fill exactly one row of
+    /// this schema per cycle stamp.
+    fn get_rows(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
+        let cycles = r.get_u64_seq()?;
+        let offset = r.position();
+        let n = r.get_u32()? as usize;
+        if n != cycles.len() * self.schema.len() {
+            return Err(CodecError {
+                message: format!(
+                    "{n} sample values for {} rows of {} metrics",
+                    cycles.len(),
+                    self.schema.len()
+                ),
+                offset,
+            });
+        }
+        self.values = (0..n).map(|_| r.get_f64()).collect::<Result<_, _>>()?;
+        self.cycles = cycles;
+        Ok(())
     }
 
     /// The full column of a metric across all samples.
@@ -406,7 +464,6 @@ impl Sampler {
             schema: &self.series.schema,
             values: &mut self.series.values,
             at: 0,
-            base: before,
         };
         walk(&mut w);
         assert_eq!(
@@ -435,27 +492,19 @@ impl Sampler {
     }
 }
 
-impl crate::codec::Snapshot for Sampler {
+impl Snapshot for Sampler {
     /// The epoch and schema come from the constructor; the captured
-    /// state is the next fire cycle plus every recorded row.
-    fn save_state(&self, w: &mut crate::codec::ByteWriter) {
+    /// state is the next fire cycle plus the series' row block.
+    fn save_state(&self, w: &mut ByteWriter) {
         w.put_u64(self.next_at);
-        w.put_u64_seq(&self.series.cycles);
-        w.put_u32(self.series.values.len() as u32);
-        for &v in &self.series.values {
-            w.put_f64(v);
-        }
+        self.series.put_rows(w);
     }
 
-    fn load_state(
-        &mut self,
-        r: &mut crate::codec::ByteReader<'_>,
-    ) -> Result<(), crate::codec::CodecError> {
+    /// Fails when the saved rows are not as wide as this sampler's
+    /// schema (a checkpoint sampled under another predictor).
+    fn load_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
         self.next_at = r.get_u64()?;
-        self.series.cycles = r.get_u64_seq()?;
-        let n = r.get_u32()? as usize;
-        self.series.values = (0..n).map(|_| r.get_f64()).collect::<Result<_, _>>()?;
-        Ok(())
+        self.series.get_rows(r)
     }
 }
 
@@ -468,8 +517,8 @@ pub struct RunSeries {
     pub series: SeriesSet,
 }
 
-/// A deterministic, mergeable collection of sampled runs, exportable
-/// as JSONL or CSV (and parseable back — see the round-trip tests).
+/// A deterministic collection of sampled runs, exportable as JSONL or
+/// CSV.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SeriesExport {
     /// Sampling epoch in CPU cycles (uniform across runs).
@@ -506,21 +555,6 @@ impl SeriesExport {
         match self.runs.binary_search_by(|r| r.run.as_str().cmp(&run)) {
             Ok(_) => panic!("duplicate run label {run:?}"),
             Err(i) => self.runs.insert(i, RunSeries { run, series }),
-        }
-    }
-
-    /// Merges another export into this one (e.g. per-worker exports).
-    ///
-    /// # Panics
-    ///
-    /// Panics on epoch mismatch or duplicate run labels.
-    pub fn merge(&mut self, other: SeriesExport) {
-        assert_eq!(
-            self.epoch, other.epoch,
-            "cannot merge exports with different epochs"
-        );
-        for r in other.runs {
-            self.push(r.run, r.series);
         }
     }
 
@@ -615,173 +649,10 @@ impl SeriesExport {
         }
         out
     }
-
-    /// Parses the JSONL produced by [`SeriesExport::to_jsonl`].
-    ///
-    /// This accepts exactly the subset of JSON the emitter produces
-    /// (no escapes inside strings; run labels forbid them at `push`).
-    pub fn parse_jsonl(text: &str) -> Result<SeriesExport, String> {
-        let mut lines = text.lines().enumerate();
-        let (_, header) = lines.next().ok_or("empty export")?;
-        let header = json::parse(header)?;
-        let epoch = header.get_u64("epoch").ok_or("header missing epoch")?;
-        let mut export = SeriesExport::new(epoch);
-        let mut current: Option<RunSeries> = None;
-        for (ln, line) in lines {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let obj = json::parse(line).map_err(|e| format!("line {}: {e}", ln + 1))?;
-            match obj.get_str("type") {
-                Some("run") => {
-                    if let Some(done) = current.take() {
-                        export.push(done.run, done.series);
-                    }
-                    let run = obj
-                        .get_str("run")
-                        .ok_or_else(|| format!("line {}: run without label", ln + 1))?
-                        .to_string();
-                    let metrics = obj
-                        .get_array("metrics")
-                        .ok_or_else(|| format!("line {}: run without metrics", ln + 1))?;
-                    let mut defs = Vec::with_capacity(metrics.len());
-                    for m in metrics {
-                        let id = m.get_str("id").ok_or("metric without id")?;
-                        let (component, name) = id
-                            .rsplit_once('.')
-                            .ok_or_else(|| format!("metric id {id:?} has no component"))?;
-                        let kind = match m.get_str("kind") {
-                            Some("counter") => MetricKind::Counter,
-                            Some("gauge") => MetricKind::Gauge,
-                            other => return Err(format!("bad metric kind {other:?}")),
-                        };
-                        defs.push(MetricDef {
-                            component: component.to_string(),
-                            name: leak_name(name),
-                            kind,
-                            unit: leak_name(m.get_str("unit").unwrap_or("")),
-                        });
-                    }
-                    current = Some(RunSeries {
-                        run,
-                        series: SeriesSet::new(Schema { defs }),
-                    });
-                }
-                Some("sample") => {
-                    let cur = current
-                        .as_mut()
-                        .ok_or_else(|| format!("line {}: sample before any run", ln + 1))?;
-                    let cycle = obj
-                        .get_u64("cycle")
-                        .ok_or_else(|| format!("line {}: sample without cycle", ln + 1))?;
-                    let vals = obj
-                        .get_array("v")
-                        .ok_or_else(|| format!("line {}: sample without values", ln + 1))?;
-                    if vals.len() != cur.series.schema.len() {
-                        return Err(format!(
-                            "line {}: {} values for a {}-metric schema",
-                            ln + 1,
-                            vals.len(),
-                            cur.series.schema.len()
-                        ));
-                    }
-                    for v in vals {
-                        cur.series
-                            .values
-                            .push(v.as_f64().ok_or("non-numeric sample value")?);
-                    }
-                    cur.series.cycles.push(cycle);
-                }
-                other => return Err(format!("line {}: unknown type {other:?}", ln + 1)),
-            }
-        }
-        if let Some(done) = current.take() {
-            export.push(done.run, done.series);
-        }
-        Ok(export)
-    }
-
-    /// Parses the CSV produced by [`SeriesExport::to_csv`]. Metric
-    /// kinds are inferred from the value lexemes (no decimal point →
-    /// counter), which matches the emitter; units are not carried by
-    /// CSV and come back empty.
-    pub fn parse_csv(text: &str) -> Result<SeriesExport, String> {
-        let mut lines = text.lines();
-        let header = lines.next().ok_or("empty CSV")?;
-        let mut cols = header.split(',');
-        if cols.next() != Some("run") || cols.next() != Some("cycle") {
-            return Err("CSV header must start with run,cycle".into());
-        }
-        let ids: Vec<&str> = cols.collect();
-        let mut export = SeriesExport::new(0);
-        let mut current: Option<RunSeries> = None;
-        for (ln, line) in lines.enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let mut fields = line.split(',');
-            let run = fields
-                .next()
-                .ok_or_else(|| format!("row {}: no run", ln + 2))?;
-            let cycle: u64 = fields
-                .next()
-                .and_then(|c| c.parse().ok())
-                .ok_or_else(|| format!("row {}: bad cycle", ln + 2))?;
-            let values: Vec<&str> = fields.collect();
-            if values.len() != ids.len() {
-                return Err(format!(
-                    "row {}: {} values for {} columns",
-                    ln + 2,
-                    values.len(),
-                    ids.len()
-                ));
-            }
-            if current.as_ref().is_none_or(|c| c.run != run) {
-                if let Some(done) = current.take() {
-                    export.push(done.run, done.series);
-                }
-                let defs = ids
-                    .iter()
-                    .zip(&values)
-                    .map(|(id, v)| {
-                        let (component, name) = id
-                            .rsplit_once('.')
-                            .ok_or_else(|| format!("metric id {id:?} has no component"))?;
-                        Ok(MetricDef {
-                            component: component.to_string(),
-                            name: leak_name(name),
-                            kind: if v.contains('.') {
-                                MetricKind::Gauge
-                            } else {
-                                MetricKind::Counter
-                            },
-                            unit: "",
-                        })
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                current = Some(RunSeries {
-                    run: run.to_string(),
-                    series: SeriesSet::new(Schema { defs }),
-                });
-            }
-            let cur = current.as_mut().expect("just set");
-            for v in &values {
-                cur.series.values.push(
-                    v.parse::<f64>()
-                        .map_err(|e| format!("row {}: {e}", ln + 2))?,
-                );
-            }
-            cur.series.cycles.push(cycle);
-        }
-        if let Some(done) = current.take() {
-            export.push(done.run, done.series);
-        }
-        Ok(export)
-    }
 }
 
-/// Formats one value per its kind: counters as integers, gauges via
-/// `f64`'s shortest round-trip representation.
+/// Formats one value per its kind, losslessly: counters as integers,
+/// gauges via `f64`'s shortest round-trip representation.
 fn format_value(out: &mut String, v: f64, kind: MetricKind) {
     match kind {
         MetricKind::Counter => {
@@ -789,7 +660,7 @@ fn format_value(out: &mut String, v: f64, kind: MetricKind) {
         }
         MetricKind::Gauge => {
             if v == v.trunc() && v.abs() < 1e15 {
-                // Keep gauges recognizably floats in CSV kind inference.
+                // Integral gauges keep `.0`, reading as floats.
                 let _ = write!(out, "{v:.1}");
             } else {
                 let _ = write!(out, "{v}");
@@ -798,197 +669,11 @@ fn format_value(out: &mut String, v: f64, kind: MetricKind) {
     }
 }
 
-/// Interns a parsed metric name as `&'static str`. Parsing is a
-/// tooling/test path (export files are small); the few leaked names
-/// per parse are the price of keeping hot-path defs allocation-light.
+/// Interns a decoded metric name or unit as `&'static str`. Decoding is
+/// the journal-resume path, once per journaled series; the leaked
+/// strings are the price of keeping sampled defs allocation-light.
 fn leak_name(s: &str) -> &'static str {
     Box::leak(s.to_string().into_boxed_str())
-}
-
-/// A minimal JSON reader for the line format this module emits.
-mod json {
-    /// A parsed JSON value (subset: no string escapes).
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// `null`.
-        Null,
-        /// `true` / `false`.
-        Bool(bool),
-        /// Any number (parsed as `f64`).
-        Num(f64),
-        /// A string without escapes.
-        Str(String),
-        /// An array.
-        Arr(Vec<Value>),
-        /// An object.
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        /// Object field lookup.
-        pub fn get(&self, key: &str) -> Option<&Value> {
-            match self {
-                Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-        /// Object field as string.
-        pub fn get_str(&self, key: &str) -> Option<&str> {
-            match self.get(key)? {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-        /// Object field as `u64`.
-        pub fn get_u64(&self, key: &str) -> Option<u64> {
-            match self.get(key)? {
-                Value::Num(n) if *n >= 0.0 => Some(*n as u64),
-                _ => None,
-            }
-        }
-        /// Object field as array.
-        pub fn get_array(&self, key: &str) -> Option<&[Value]> {
-            match self.get(key)? {
-                Value::Arr(a) => Some(a),
-                _ => None,
-            }
-        }
-        /// Numeric value.
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Num(n) => Some(*n),
-                _ => None,
-            }
-        }
-    }
-
-    /// Parses one JSON document from `text`.
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let b = text.as_bytes();
-        let mut pos = 0;
-        let v = value(b, &mut pos)?;
-        skip_ws(b, &mut pos);
-        if pos != b.len() {
-            return Err(format!("trailing bytes at offset {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && (b[*pos] as char).is_ascii_whitespace() {
-            *pos += 1;
-        }
-    }
-
-    fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-        skip_ws(b, pos);
-        if *pos < b.len() && b[*pos] == c {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at offset {}", c as char, pos))
-        }
-    }
-
-    fn value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => obj(b, pos),
-            Some(b'[') => arr(b, pos),
-            Some(b'"') => Ok(Value::Str(string(b, pos)?)),
-            Some(b't') => lit(b, pos, "true", Value::Bool(true)),
-            Some(b'f') => lit(b, pos, "false", Value::Bool(false)),
-            Some(b'n') => lit(b, pos, "null", Value::Null),
-            Some(_) => number(b, pos),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn lit(b: &[u8], pos: &mut usize, word: &str, v: Value) -> Result<Value, String> {
-        if b[*pos..].starts_with(word.as_bytes()) {
-            *pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at offset {pos}"))
-        }
-    }
-
-    fn string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-        expect(b, pos, b'"')?;
-        let start = *pos;
-        while *pos < b.len() && b[*pos] != b'"' {
-            if b[*pos] == b'\\' {
-                return Err("string escapes are not supported".into());
-            }
-            *pos += 1;
-        }
-        if *pos >= b.len() {
-            return Err("unterminated string".into());
-        }
-        let s = std::str::from_utf8(&b[start..*pos])
-            .map_err(|e| e.to_string())?
-            .to_string();
-        *pos += 1;
-        Ok(s)
-    }
-
-    fn number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        let start = *pos;
-        while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-            *pos += 1;
-        }
-        let s = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-        s.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| format!("bad number {s:?} at offset {start}"))
-    }
-
-    fn arr(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(b, pos, b'[')?;
-        let mut items = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(value(b, pos)?);
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(format!("expected , or ] at offset {pos}")),
-            }
-        }
-    }
-
-    fn obj(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(b, pos, b'{')?;
-        let mut fields = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Value::Obj(fields));
-        }
-        loop {
-            skip_ws(b, pos);
-            let key = string(b, pos)?;
-            expect(b, pos, b':')?;
-            fields.push((key, value(b, pos)?));
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                _ => return Err(format!("expected , or }} at offset {pos}")),
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1087,42 +772,179 @@ mod tests {
         assert_eq!(series.value(0, "fake.nope"), None);
     }
 
-    #[test]
-    fn jsonl_round_trips() {
+    /// Every number printed for `series` reads back as exactly the
+    /// stored value: the cycles and then each row's values, in order.
+    fn assert_reads_back(series: &SeriesSet, cycles: &[&str], rows: &[Vec<&str>]) {
+        let got: Vec<u64> = cycles.iter().map(|c| c.parse().unwrap()).collect();
+        assert_eq!(got, series.cycles());
+        assert_eq!(rows.len(), series.len());
+        for (i, row) in rows.iter().enumerate() {
+            let got: Vec<u64> = row
+                .iter()
+                .map(|v| v.parse::<f64>().unwrap().to_bits())
+                .collect();
+            let want: Vec<u64> = series.row(i).iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "row {i}");
+        }
+    }
+
+    /// Two runs pushed out of label order, one with a value `f64`'s
+    /// shortest form needs every digit for.
+    fn two_run_export() -> SeriesExport {
         let f = Fake { a: 0, b: 0.0 };
-        let mut export = SeriesExport::new(10);
-        export.push(
+        let mut e = SeriesExport::new(10);
+        e.push(
             "runB",
             sample_fake(&f, 10, &[(10, 1, 0.125), (20, 2, 1.0 / 3.0)]),
         );
-        export.push("runA", sample_fake(&f, 10, &[(10, 9, 42.0)]));
+        e.push("runA", sample_fake(&f, 10, &[(10, 9, 42.0)]));
+        e
+    }
+
+    const FAKE_METRICS: &str = r#"[{"id":"fake.events","kind":"counter","unit":"events"},{"id":"fake.level","kind":"gauge","unit":"ratio"}]"#;
+
+    /// The `v` array of every `sample` line of a JSONL export, split
+    /// into its number lexemes.
+    fn jsonl_values(text: &str) -> Vec<Vec<&str>> {
+        text.lines()
+            .filter_map(|l| l.split_once(r#""v":["#))
+            .map(|(_, v)| v.trim_end_matches("]}").split(',').collect())
+            .collect()
+    }
+
+    #[test]
+    fn jsonl_round_trips() {
+        let e = two_run_export();
         // Deterministic order: sorted by label regardless of push order.
-        assert_eq!(export.runs[0].run, "runA");
-        let text = export.to_jsonl();
-        let parsed = SeriesExport::parse_jsonl(&text).expect("parse");
-        assert_eq!(parsed, export);
-        assert_eq!(parsed.to_jsonl(), text, "re-serialization is stable");
+        assert_eq!(e.runs[0].run, "runA");
+        let text = e.to_jsonl();
+        let jsonl = [
+            r#"{"type":"export","version":1,"epoch":10,"runs":2}"#.to_string(),
+            format!(r#"{{"type":"run","run":"runA","samples":1,"metrics":{FAKE_METRICS}}}"#),
+            r#"{"type":"sample","run":"runA","cycle":10,"v":[9,42.0]}"#.to_string(),
+            format!(r#"{{"type":"run","run":"runB","samples":2,"metrics":{FAKE_METRICS}}}"#),
+            r#"{"type":"sample","run":"runB","cycle":10,"v":[1,0.125]}"#.to_string(),
+            r#"{"type":"sample","run":"runB","cycle":20,"v":[2,0.3333333333333333]}"#.to_string(),
+        ];
+        assert_eq!(text, jsonl.join("\n") + "\n");
+        let values = jsonl_values(&text);
+        assert_reads_back(&e.runs[0].series, &["10"], &values[..1]);
+        assert_reads_back(&e.runs[1].series, &["10", "20"], &values[1..]);
     }
 
     #[test]
     fn csv_round_trips_values() {
-        let f = Fake { a: 0, b: 0.0 };
-        let mut export = SeriesExport::new(10);
-        export.push("r1", sample_fake(&f, 10, &[(10, 1, 0.125), (20, 2, 7.0)]));
-        export.push("r2", sample_fake(&f, 10, &[(10, 3, 0.75)]));
-        let text = export.to_csv();
-        let parsed = SeriesExport::parse_csv(&text).expect("parse");
-        // CSV does not carry the epoch or units; compare the rest.
-        assert_eq!(parsed.runs.len(), 2);
-        for (p, e) in parsed.runs.iter().zip(&export.runs) {
-            assert_eq!(p.run, e.run);
-            assert_eq!(p.series.cycles(), e.series.cycles());
-            assert_eq!(p.series.values, e.series.values);
-            let ids: Vec<String> = p.series.schema.defs().iter().map(|d| d.id()).collect();
-            let eids: Vec<String> = e.series.schema.defs().iter().map(|d| d.id()).collect();
-            assert_eq!(ids, eids);
+        let e = two_run_export();
+        let text = e.to_csv();
+        assert_eq!(
+            text,
+            "run,cycle,fake.events,fake.level\n\
+             runA,10,9,42.0\n\
+             runB,10,1,0.125\n\
+             runB,20,2,0.3333333333333333\n"
+        );
+        let rows: Vec<Vec<&str>> = text
+            .lines()
+            .skip(1)
+            .map(|l| l.split(',').collect())
+            .collect();
+        for run in &e.runs {
+            let mine: Vec<&Vec<&str>> = rows.iter().filter(|r| r[0] == run.run).collect();
+            let cycles: Vec<&str> = mine.iter().map(|r| r[1]).collect();
+            let values: Vec<Vec<&str>> = mine.iter().map(|r| r[2..].to_vec()).collect();
+            assert_reads_back(&run.series, &cycles, &values);
         }
-        assert_eq!(parsed.to_csv(), text, "re-serialization is stable");
+    }
+
+    #[test]
+    fn empty_export_parses() {
+        let e = SeriesExport::new(1000);
+        assert_eq!(
+            e.to_jsonl(),
+            "{\"type\":\"export\",\"version\":1,\"epoch\":1000,\"runs\":0}\n"
+        );
+        assert_eq!(e.to_csv(), "run,cycle\n");
+    }
+
+    #[test]
+    fn gauge_formatting_survives_awkward_values() {
+        // Shortest-repr floats and integral gauges both read back exactly.
+        let f = Fake { a: 0, b: 0.0 };
+        let mut e = SeriesExport::new(1);
+        e.push(
+            "r",
+            sample_fake(&f, 1, &[(1, u32::MAX as u64, 0.1 + 0.2), (2, 0, 3.0)]),
+        );
+        let text = e.to_jsonl();
+        assert_eq!(
+            text.lines().skip(2).collect::<Vec<_>>(),
+            [
+                r#"{"type":"sample","run":"r","cycle":1,"v":[4294967295,0.30000000000000004]}"#,
+                r#"{"type":"sample","run":"r","cycle":2,"v":[0,3.0]}"#,
+            ]
+        );
+        assert_reads_back(&e.runs[0].series, &["1", "2"], &jsonl_values(&text));
+        assert_eq!(
+            e.to_csv(),
+            "run,cycle,fake.events,fake.level\n\
+             r,1,4294967295,0.30000000000000004\n\
+             r,2,0,3.0\n"
+        );
+    }
+
+    fn encoded(series: &SeriesSet) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        series.encode(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn series_round_trips_through_the_codec() {
+        let f = Fake { a: 0, b: 0.0 };
+        let schema = Schema::build(|v| {
+            v.component("fake");
+            f.observe(v);
+        });
+        let mut windowed = Sampler::new(schema.clone(), 10).with_window(2);
+        for i in 1..=5u64 {
+            let snap = Fake {
+                a: i,
+                b: 1.0 / i as f64,
+            };
+            windowed.sample(i * 10, |v| snap.observe(v));
+        }
+        for series in [windowed.into_series(), SeriesSet::new(schema)] {
+            let bytes = encoded(&series);
+            let mut r = ByteReader::new(&bytes);
+            assert_eq!(SeriesSet::decode(&mut r).unwrap(), series);
+            assert!(r.is_empty());
+        }
+    }
+
+    #[test]
+    fn malformed_series_is_a_codec_error() {
+        let f = Fake { a: 0, b: 0.0 };
+        let series = sample_fake(&f, 10, &[(10, 1, 0.5), (20, 2, 0.25)]);
+        let bytes = encoded(&series);
+        let decode = |bytes: &[u8]| SeriesSet::decode(&mut ByteReader::new(bytes));
+        // Every cut of the block is truncated, never a panic.
+        for cut in 0..bytes.len() {
+            assert!(decode(&bytes[..cut]).is_err(), "cut {cut}");
+        }
+        // The value count sits after the two cycle stamps: 3 values do
+        // not fill whole rows of 2 metrics.
+        let count_at = bytes.len() - 4 * 8 - 4;
+        let mut bad = bytes.clone();
+        bad[count_at..count_at + 4].copy_from_slice(&3u32.to_le_bytes());
+        let err = decode(&bad).unwrap_err();
+        assert!(err.message.contains("3 sample values"), "{err}");
+        // The first metric's kind tag follows its component and name.
+        let tag_at = 4 + (4 + "fake".len()) + (4 + "events".len());
+        assert_eq!(bytes[tag_at], 0);
+        let mut bad = bytes.clone();
+        bad[tag_at] = 7;
+        let err = decode(&bad).unwrap_err();
+        assert!(err.message.contains("kind tag 7"), "{err}");
     }
 
     #[test]
@@ -1135,10 +957,7 @@ mod tests {
             }
             e
         };
-        let mut a = mk(&["x"]);
-        a.merge(mk(&["z", "y"]));
-        let mut b = mk(&["y"]);
-        b.merge(mk(&["x", "z"]));
+        let (a, b) = (mk(&["x", "z", "y"]), mk(&["y", "x", "z"]));
         assert_eq!(a, b);
         assert_eq!(a.to_jsonl(), b.to_jsonl());
     }
@@ -1150,42 +969,5 @@ mod tests {
         let mut e = SeriesExport::new(5);
         e.push("x", sample_fake(&f, 5, &[]));
         e.push("x", sample_fake(&f, 5, &[]));
-    }
-
-    #[test]
-    fn empty_export_parses() {
-        let e = SeriesExport::new(1000);
-        let parsed = SeriesExport::parse_jsonl(&e.to_jsonl()).expect("parse");
-        assert_eq!(parsed, e);
-        assert_eq!(
-            SeriesExport::parse_csv(&e.to_csv())
-                .expect("csv")
-                .runs
-                .len(),
-            0
-        );
-    }
-
-    #[test]
-    fn gauge_formatting_survives_awkward_values() {
-        // Shortest-repr floats and integral gauges both round-trip.
-        let f = Fake { a: 0, b: 0.0 };
-        let mut e = SeriesExport::new(1);
-        e.push(
-            "r",
-            sample_fake(&f, 1, &[(1, u32::MAX as u64, 0.1 + 0.2), (2, 0, 3.0)]),
-        );
-        let parsed = SeriesExport::parse_jsonl(&e.to_jsonl()).expect("parse");
-        assert_eq!(parsed, e);
-    }
-
-    #[test]
-    fn json_reader_handles_subset() {
-        let v = json::parse(r#"{"a":[1,2.5,"x"],"b":null,"c":true}"#).unwrap();
-        assert_eq!(v.get_array("a").unwrap().len(), 3);
-        assert_eq!(v.get("b"), Some(&json::Value::Null));
-        assert_eq!(v.get("c"), Some(&json::Value::Bool(true)));
-        assert!(json::parse("{oops").is_err());
-        assert!(json::parse(r#""esc\"ape""#).is_err());
     }
 }

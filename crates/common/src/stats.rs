@@ -1,65 +1,11 @@
 //! Lightweight statistics primitives used throughout the evaluation:
-//! event counters, running means, and fixed-bucket histograms.
+//! running means and fixed-bucket histograms.
 //!
 //! These are deliberately simple — the simulator's hot loops increment
 //! them billions of times, so every operation is a handful of integer
 //! instructions.
 
 use crate::codec::{ByteReader, ByteWriter, CodecError};
-use std::fmt;
-
-/// A monotonically increasing event counter.
-///
-/// # Examples
-///
-/// ```
-/// use critmem_common::Counter;
-/// let mut loads = Counter::new("loads");
-/// loads.add(3);
-/// loads.inc();
-/// assert_eq!(loads.value(), 4);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Counter {
-    name: &'static str,
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter with a display name.
-    pub fn new(name: &'static str) -> Self {
-        Counter { name, value: 0 }
-    }
-
-    /// Adds one event.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.value += 1;
-    }
-
-    /// Adds `n` events.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Current count.
-    #[inline]
-    pub fn value(&self) -> u64 {
-        self.value
-    }
-
-    /// The display name given at construction.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} = {}", self.name, self.value)
-    }
-}
 
 /// An online mean over `u64` samples (e.g. per-request latencies).
 ///
@@ -114,12 +60,6 @@ impl RunningMean {
     #[inline]
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Merges another mean into this one (e.g. across cores).
-    pub fn merge(&mut self, other: &RunningMean) {
-        self.sum += other.sum;
-        self.count += other.count;
     }
 
     /// Serializes for the sweep journal.
@@ -267,17 +207,6 @@ impl Histogram {
             min: r.get_u64()?,
         })
     }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-        self.min = self.min.min(other.min);
-    }
 }
 
 #[cfg(test)]
@@ -285,29 +214,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_basics() {
-        let mut c = Counter::new("x");
-        assert_eq!(c.value(), 0);
-        c.inc();
-        c.add(9);
-        assert_eq!(c.value(), 10);
-        assert_eq!(c.to_string(), "x = 10");
-    }
-
-    #[test]
     fn running_mean_empty_is_none() {
         assert_eq!(RunningMean::new().mean(), None);
-    }
-
-    #[test]
-    fn running_mean_merge() {
-        let mut a = RunningMean::new();
-        let mut b = RunningMean::new();
-        a.record(10);
-        b.record(30);
-        a.merge(&b);
-        assert_eq!(a.mean(), Some(20.0));
-        assert_eq!(a.count(), 2);
     }
 
     #[test]
@@ -374,30 +282,6 @@ mod tests {
             }
             let bucket_total: u64 = h.buckets().iter().sum();
             assert_eq!(bucket_total, samples.len() as u64);
-        }
-    }
-
-    /// Seeded property sweep: merge behaves like recording both sample
-    /// sets into one histogram.
-    #[test]
-    fn merge_is_sum() {
-        let mut rng = crate::SmallRng::seed_from_u64(0x6E12);
-        for _ in 0..64 {
-            let xs = random_samples(&mut rng, 10_000, 1, 50);
-            let ys = random_samples(&mut rng, 10_000, 1, 50);
-            let mut a = Histogram::new();
-            let mut b = Histogram::new();
-            for &x in &xs {
-                a.record(x);
-            }
-            for &y in &ys {
-                b.record(y);
-            }
-            let mut merged = a.clone();
-            merged.merge(&b);
-            assert_eq!(merged.count(), a.count() + b.count());
-            let expect_max = a.max().unwrap().max(b.max().unwrap());
-            assert_eq!(merged.max(), Some(expect_max));
         }
     }
 }

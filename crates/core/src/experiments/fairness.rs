@@ -213,6 +213,8 @@ pub fn fairness_frontier(runner: &mut Runner) -> FairnessFrontier {
 mod tests {
     use super::*;
     use crate::experiments::harness::Scale;
+    use critmem_common::codec::{ByteReader, ByteWriter};
+    use critmem_common::SeriesSet;
 
     #[test]
     fn frontier_covers_the_zoo_on_one_bundle() {
@@ -255,9 +257,12 @@ mod tests {
             assert!(run.series.value(0, "fairness.weighted_speedup").is_some());
             assert!(run.series.value(0, "fairness.max_slowdown").is_some());
             assert!(run.series.value(0, "fairness.harmonic_speedup").is_some());
+            let mut w = ByteWriter::new();
+            run.series.encode(&mut w);
+            let bytes = w.into_bytes();
+            let decoded = SeriesSet::decode(&mut ByteReader::new(&bytes)).expect("lossless");
+            assert_eq!(decoded, run.series);
         }
-        let parsed = SeriesExport::parse_jsonl(&export.to_jsonl()).expect("lossless");
-        assert_eq!(parsed, export);
         assert!(export.to_csv().starts_with("run,cycle,fairness."));
     }
 }

@@ -274,6 +274,8 @@ pub fn hetero_study(runner: &mut Runner, mixes: &[(String, AgentMix)]) -> Hetero
 mod tests {
     use super::*;
     use crate::experiments::harness::Scale;
+    use critmem_common::codec::{ByteReader, ByteWriter};
+    use critmem_common::SeriesSet;
 
     fn small_runner() -> Runner {
         Runner::new(Scale {
@@ -340,9 +342,12 @@ mod tests {
             eb.to_jsonl(),
             "--jobs must not perturb the export"
         );
-        let parsed = SeriesExport::parse_jsonl(&ea.to_jsonl()).expect("lossless");
-        assert_eq!(parsed, ea);
         for run in &ea.runs {
+            let mut w = ByteWriter::new();
+            run.series.encode(&mut w);
+            let bytes = w.into_bytes();
+            let decoded = SeriesSet::decode(&mut ByteReader::new(&bytes)).expect("lossless");
+            assert_eq!(decoded, run.series);
             assert!(run.series.value(0, "hetero.weighted_speedup").is_some());
             assert!(run.series.value(0, "hetero.qos_violations").is_some());
         }

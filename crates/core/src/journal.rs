@@ -13,13 +13,28 @@
 //! # Format
 //!
 //! ```text
-//! "CMJR" magic | u32 version | record*
+//! "CMJR" magic | u32 version (2) | record*
 //! record := u8 kind (1 = run, 2 = replay)
 //!         | u32 payload length
 //!         | payload bytes
 //!         | u32 CRC-32 of the payload
 //! payload := length-prefixed key string | stats encoding
 //! ```
+//!
+//! A sampled run's stats encoding carries its series in the binary
+//! layout of [`SeriesSet::encode`](critmem_common::SeriesSet::encode),
+//! whose row block is the one a `CMCK` checkpoint's sampler holds:
+//!
+//! ```text
+//! series := u32 metric count | metric* | u32 sample count | u64 cycle*
+//!         | u32 value count | f64 value* (raw bits, row-major)
+//! metric := str component | str name | u8 kind (0 = counter, 1 = gauge)
+//!         | str unit
+//! ```
+//!
+//! A version-1 journal, whose series are JSONL text, fails `--resume`
+//! with "unsupported sweep journal version 1" rather than ending
+//! recovery at its first sampled record.
 //!
 //! The header and each record's length, payload and CRC are the sealed
 //! frame of [`critmem_common::codec`], the one `CMCK` checkpoints and
@@ -43,7 +58,7 @@ use std::path::{Path, PathBuf};
 /// Magic bytes opening every journal file.
 pub const MAGIC: &[u8; 4] = b"CMJR";
 /// Format version written by this build.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 const KIND_RUN: u8 = 1;
 const KIND_REPLAY: u8 = 2;
@@ -345,6 +360,13 @@ mod tests {
         std::fs::write(&path, b"not a journal at all").unwrap();
         let err = SweepJournal::resume(&path).unwrap_err();
         assert!(matches!(err, SimError::Artifact(_)), "{err:?}");
+        std::fs::write(&path, b"CMJR\x01\0\0\0").unwrap();
+        match SweepJournal::resume(&path).unwrap_err() {
+            SimError::Artifact(msg) => {
+                assert!(msg.contains("unsupported sweep journal version 1"), "{msg}")
+            }
+            other => panic!("version 1: expected Artifact error, got {other:?}"),
+        }
         std::fs::remove_file(&path).unwrap();
     }
 }

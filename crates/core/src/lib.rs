@@ -173,7 +173,7 @@ mod tests {
             [
                 0xECF3_1881,
                 0x48BF_3C33,
-                0x24BA_A3CB,
+                0x6E7E_532F,
                 0x470B_05F7,
                 0x2ECC_2BF1
             ],

@@ -103,15 +103,6 @@ impl<S: RequestSource> TraceAgent<S> {
 }
 
 impl<S: RequestSource + 'static> MemoryAgent for TraceAgent<S> {
-    /// Replayed records are the capturing cores' cache misses.
-    fn class(&self) -> AgentClass {
-        AgentClass::Ooo
-    }
-
-    fn qos_millis(&self) -> u32 {
-        AgentClass::Ooo.default_qos_millis()
-    }
-
     fn generate(&mut self, now: CpuCycle, out: &mut Vec<MemRequest>) {
         if self.unadmitted > 0 {
             return; // a bounced request holds everything behind it
@@ -214,7 +205,8 @@ impl<S: RequestSource + 'static> MemoryAgent for TraceAgent<S> {
             units_target: 0,
             latency_sum: self.latency_sum,
             finish: self.finished_at.unwrap_or(0),
-            qos_millis: self.qos_millis(),
+            // Replayed records are the capturing cores' cache misses.
+            qos_millis: AgentClass::Ooo.default_qos_millis(),
         }
     }
 

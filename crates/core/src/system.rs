@@ -150,9 +150,6 @@ impl RunStats {
         if let Some(series) = &self.series {
             series.encode(w);
         }
-        // Trailing field: readers of journals written before the agent
-        // model existed see an exhausted stream here and decode an
-        // empty agent list, keeping old `--resume` journals valid.
         w.put_u32(self.agents.len() as u32);
         for a in &self.agents {
             a.encode(w);
@@ -192,14 +189,10 @@ impl RunStats {
         } else {
             None
         };
-        let agents = if r.is_empty() {
-            Vec::new() // journal entry predates the agent model
-        } else {
-            let n_agents = r.get_u32()? as usize;
-            (0..n_agents)
-                .map(|_| AgentStats::decode(r))
-                .collect::<Result<Vec<_>, _>>()?
-        };
+        let n_agents = r.get_u32()? as usize;
+        let agents = (0..n_agents)
+            .map(|_| AgentStats::decode(r))
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(RunStats {
             cycles,
             core_finish,
@@ -460,9 +453,8 @@ impl<O: RequestObserver> System<O> {
     ) -> Result<Self, SimError> {
         cfg.validate().map_err(SimError::Config)?;
         // One walk of the workload builds every producer: each core's
-        // instruction source and QoS budget, and the non-core agents.
+        // instruction source and the non-core agents.
         let mut sources: Vec<Box<dyn InstrSource>> = Vec::new();
-        let mut qos = Vec::new();
         let mut agents: Vec<Box<dyn MemoryAgent>> = Vec::new();
         // An `alone` run or an `ooo` term may name any application.
         let ooo_app = |app: &str| {
@@ -523,7 +515,6 @@ impl<O: RequestObserver> System<O> {
                         for _ in 0..spec.count {
                             let thread = sources.len();
                             sources.push(Box::new(AppThread::new(&app_spec, thread, cfg.seed)));
-                            qos.push(spec.effective_qos_millis());
                         }
                     } else {
                         for _ in 0..spec.count {
@@ -571,19 +562,14 @@ impl<O: RequestObserver> System<O> {
                 }
             }
         }
-        // Cores outside a hetero mix keep the OoO class's default budget.
-        qos.resize(sources.len(), AgentClass::Ooo.default_qos_millis());
-        let cores = qos
-            .into_iter()
-            .enumerate()
-            .map(|(c, millis)| {
+        let cores = (0..sources.len())
+            .map(|c| {
                 Core::new(
                     CoreId(c as u8),
                     cfg.core,
                     build_predictor(cfg.predictor),
                     u64::MAX / 2, // the system, not the core, ends the run
                 )
-                .with_qos_budget_millis(millis)
             })
             .collect();
         Ok(Self::assemble(cfg, cores, sources, agents, observer))

@@ -6,9 +6,10 @@
 //! share memory channels with bandwidth-hungry accelerator-class
 //! producers — GPU-like streamers, PIM-style bulk engines, and
 //! prefetch-dominated front-ends. [`MemoryAgent`] is the surface those
-//! non-core producers present to the system model: a classed,
-//! QoS-budgeted request producer with deterministic state capture and
-//! a skip-ahead quiescence contract. Cores are not agents: their
+//! non-core producers present to the system model: a request producer
+//! with deterministic state capture and a skip-ahead quiescence
+//! contract. Its class and QoS budget travel in its spec and its
+//! [`AgentStats`], not through the trait. Cores are not agents: their
 //! requests reach memory through the cache hierarchy, and the system
 //! drives them directly.
 //!
@@ -197,7 +198,8 @@ impl critmem_common::Observable for AgentStats {
     }
 }
 
-/// A classed, QoS-budgeted memory-request producer.
+/// A memory-request producer that is not a core: a heterogeneous-mix
+/// agent or a trace replay.
 ///
 /// The system drives an agent with exactly three calls per active
 /// cycle: [`MemoryAgent::generate`] to collect new requests (the system
@@ -222,13 +224,6 @@ impl critmem_common::Observable for AgentStats {
 ///   mutable state, so a CMCK checkpoint restore resumes the exact
 ///   request stream.
 pub trait MemoryAgent: std::any::Any {
-    /// This agent's class.
-    fn class(&self) -> AgentClass;
-
-    /// QoS slowdown budget, in thousandths (3_000 = "at most 3x slower
-    /// than alone").
-    fn qos_millis(&self) -> u32;
-
     /// Produces the requests this agent issues at `now`, appending them
     /// to `out`. The agent throttles itself (memory-level-parallelism
     /// window, batch gaps); the system buffers whatever the DRAM

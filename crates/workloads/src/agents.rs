@@ -99,7 +99,6 @@ pub fn build_agent(
             issue_width: 4,
             target_units,
             finish: 0,
-            qos_millis,
             stats: AgentStats {
                 units_target: target_units,
                 qos_millis,
@@ -121,7 +120,6 @@ pub fn build_agent(
             next_batch_at: 0,
             target_units,
             finish: 0,
-            qos_millis,
             stats: AgentStats {
                 units_target: target_units,
                 qos_millis,
@@ -141,7 +139,6 @@ pub fn build_agent(
             rng: seed | 1,
             target_units,
             finish: 0,
-            qos_millis,
             stats: AgentStats {
                 units_target: target_units,
                 qos_millis,
@@ -177,19 +174,10 @@ pub struct StreamAgent {
     issue_width: u32,
     target_units: u64,
     finish: u64,
-    qos_millis: u32,
     stats: AgentStats,
 }
 
 impl MemoryAgent for StreamAgent {
-    fn class(&self) -> AgentClass {
-        AgentClass::Stream
-    }
-
-    fn qos_millis(&self) -> u32 {
-        self.qos_millis
-    }
-
     fn generate(&mut self, now: CpuCycle, out: &mut Vec<MemRequest>) {
         for _ in 0..self.issue_width {
             if self.outstanding >= self.mlp {
@@ -284,19 +272,10 @@ pub struct BulkAgent {
     next_batch_at: CpuCycle,
     target_units: u64,
     finish: u64,
-    qos_millis: u32,
     stats: AgentStats,
 }
 
 impl MemoryAgent for BulkAgent {
-    fn class(&self) -> AgentClass {
-        AgentClass::Bulk
-    }
-
-    fn qos_millis(&self) -> u32 {
-        self.qos_millis
-    }
-
     fn generate(&mut self, now: CpuCycle, out: &mut Vec<MemRequest>) {
         if self.remaining == 0 {
             if self.outstanding > 0 || now < self.next_batch_at {
@@ -413,19 +392,10 @@ pub struct PrefetchAgent {
     rng: u64,
     target_units: u64,
     finish: u64,
-    qos_millis: u32,
     stats: AgentStats,
 }
 
 impl MemoryAgent for PrefetchAgent {
-    fn class(&self) -> AgentClass {
-        AgentClass::Prefetch
-    }
-
-    fn qos_millis(&self) -> u32 {
-        self.qos_millis
-    }
-
     fn generate(&mut self, now: CpuCycle, out: &mut Vec<MemRequest>) {
         let (demand_every, jump_every) = if self.wild { (16, 8) } else { (8, 32) };
         for _ in 0..self.issue_width {

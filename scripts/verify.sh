@@ -127,6 +127,20 @@ expect_torn ./target/release/repro --scale quick checkpoint restore "$tmp/torn.c
   --sched casras-crit --pred maxstalltime
 expect_torn ./target/release/repro trace synth "$tmp/torn.cmpf" --requests 1000
 
+echo "== stale journal smoke test (a version-1 journal is refused, never re-run)"
+# A CMJR header of version 1 (series as embedded JSONL) must fail
+# --resume with a typed error and exit 1: no panic, no silent re-run.
+printf 'CMJR\001\000\000\000' > "$tmp/v1.cmjr"
+rc=0
+./target/release/repro --scale quick --journal "$tmp/v1.cmjr" --resume fig4 \
+  > "$tmp/v1.out" 2> "$tmp/v1.err" || rc=$?
+if [ "$rc" -ne 1 ] || ! grep -q 'unsupported sweep journal version 1' "$tmp/v1.err" ||
+  [ -s "$tmp/v1.out" ]; then
+  echo "stale journal smoke: --resume exited $rc, expected 1 with the version error:" >&2
+  cat "$tmp/v1.err" >&2
+  exit 1
+fi
+
 echo "== stats export smoke test (JSONL, serial == --jobs 2 == --no-skip-ahead)"
 ./target/release/repro --scale quick --jobs 1 stats swim --epoch 20000 > "$tmp/stats.serial" 2>/dev/null
 ./target/release/repro --scale quick --jobs 2 stats swim --epoch 20000 > "$tmp/stats.jobs2" 2>/dev/null

@@ -292,3 +292,42 @@ fn baseline_cell_is_bit_exact_under_warm_start() {
     let b = warm.parallel("swim", SchedulerKind::FrFcfs, PredictorKind::None);
     assert_eq!(encode(&a), encode(&b));
 }
+
+/// Only a CBP reports `cbp.coreN` metrics, so a sampler's row width
+/// depends on the predictor. A sampled checkpoint restored under
+/// another predictor is refused rather than splicing rows of one width
+/// into a series of another; under its own predictor it continues the
+/// cold run's series exactly.
+#[test]
+fn sampled_restore_under_another_predictor_is_refused() {
+    let wl = AgentMix::Parallel("swim");
+    let cbp = small_cfg(3_000).with_predictor(PredictorKind::cbp64(CbpMetric::MaxStallTime));
+    let session = |cfg: &SystemConfig| Session::new(cfg.clone(), &wl).sampling(2_000);
+    let cold = session(&cbp).run().unwrap().stats;
+    let ckpt = session(&cbp)
+        .checkpoint_at(20_000)
+        .run_to_checkpoint()
+        .unwrap();
+    let warm = Session::from_checkpoint(&ckpt, cbp.clone(), &wl)
+        .sampling(2_000)
+        .run()
+        .unwrap()
+        .stats;
+    assert_eq!(warm.series, cold.series);
+    let plain = cbp.with_predictor(PredictorKind::None);
+    match Session::from_checkpoint(&ckpt, plain, &wl)
+        .sampling(2_000)
+        .run()
+    {
+        Err(SimError::Artifact(msg)) => assert!(msg.contains("sample values"), "{msg}"),
+        Err(other) => panic!("expected an Artifact error, got {other:?}"),
+        Ok(out) => {
+            let series = out.stats.series.expect("sampling was enabled");
+            panic!(
+                "restore succeeded: last sample reads {:?} L2 misses, RunStats {}",
+                series.value(series.len() - 1, "cache.l2.l2_misses"),
+                out.stats.hierarchy.l2_misses
+            )
+        }
+    }
+}

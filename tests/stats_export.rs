@@ -1,13 +1,23 @@
-//! End-to-end tests for the observability layer (DESIGN.md §6e): real
-//! sampled runs round-tripped through both export formats, the
-//! `--jobs` determinism contract, and the empty-run denominator audit.
+//! End-to-end tests for the observability layer (DESIGN.md §6e): a real
+//! sampled run round-tripped through the sweep journal, the lossless
+//! value ranges of a real export, the `--jobs` determinism contract,
+//! and the empty-run denominator audit.
 
 use critmem::config::PredictorKind;
 use critmem::experiments::{stats_export, Runner, Scale};
-use critmem::{AgentMix, SystemConfig};
+use critmem::journal::{JournalEntry, SweepJournal};
+use critmem::{AgentMix, RunStats, SystemConfig};
+use critmem_common::codec::ByteWriter;
+use critmem_common::obs::MetricKind;
 use critmem_common::SeriesExport;
 use critmem_predict::CbpMetric;
 use critmem_sched::SchedulerKind;
+
+fn encode(stats: &RunStats) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    stats.encode(&mut w);
+    w.into_bytes()
+}
 
 fn sampled_export(jobs: usize) -> SeriesExport {
     let mut r = Runner::new(Scale::quick());
@@ -22,31 +32,58 @@ fn sampled_export(jobs: usize) -> SeriesExport {
 }
 
 #[test]
-fn jsonl_round_trips_a_real_export() {
-    let export = sampled_export(1);
-    let text = export.to_jsonl();
-    let parsed = SeriesExport::parse_jsonl(&text).expect("emitted JSONL must parse");
-    assert_eq!(parsed, export);
-    // Re-serializing the parse is byte-identical (stable format).
-    assert_eq!(parsed.to_jsonl(), text);
+fn sampled_run_round_trips_through_the_journal() {
+    let mut cfg = SystemConfig::paper_baseline(2_000)
+        .with_predictor(PredictorKind::cbp64(CbpMetric::MaxStallTime));
+    cfg.cores = 2;
+    cfg.hierarchy = critmem_cache::HierarchyConfig::paper_baseline(2);
+    let stats = critmem::Session::new(cfg, &AgentMix::Parallel("swim"))
+        .sampling(1_000)
+        .run()
+        .expect("sampled run")
+        .stats;
+    let series = stats.series.as_ref().expect("sampling was enabled");
+    assert!(series.len() >= 2);
+    assert!(series.schema().index_of("cbp.core0.lookups").is_some());
+    let path = std::env::temp_dir().join(format!(
+        "critmem-stats-export-journal-{}.cmjr",
+        std::process::id()
+    ));
+    SweepJournal::create(&path)
+        .and_then(|mut j| j.append_run("swim|sampled", &stats))
+        .expect("journal write");
+    let (_, entries) = SweepJournal::resume(&path).expect("journal resume");
+    std::fs::remove_file(&path).ok();
+    let [JournalEntry::Run { key, stats: got }] = &entries[..] else {
+        panic!("expected one run record, got {entries:?}");
+    };
+    assert_eq!(key, "swim|sampled");
+    assert_eq!(got.series, stats.series);
+    assert_eq!(encode(got), encode(&stats));
 }
 
 #[test]
-fn csv_round_trips_values_and_cycles() {
+fn exported_values_are_lossless_numbers() {
+    // Counters print as integers and gauges in shortest round-trip
+    // form, so both formats are lossless exactly when every counter is
+    // a non-negative integer an f64 holds and every gauge is finite.
     let export = sampled_export(1);
-    let text = export.to_csv();
-    let parsed = SeriesExport::parse_csv(&text).expect("emitted CSV must parse");
-    assert_eq!(parsed.runs.len(), export.runs.len());
-    for (p, e) in parsed.runs.iter().zip(&export.runs) {
-        assert_eq!(p.run, e.run);
-        assert_eq!(p.series.cycles(), e.series.cycles());
-        for row in 0..e.series.len() {
-            assert_eq!(
-                p.series.row(row),
-                e.series.row(row),
-                "run {} row {row}",
-                e.run
-            );
+    for run in &export.runs {
+        let defs = run.series.schema().defs();
+        for row in 0..run.series.len() {
+            for (v, d) in run.series.row(row).iter().zip(defs) {
+                match d.kind {
+                    MetricKind::Counter => assert!(
+                        *v >= 0.0 && v.fract() == 0.0 && *v < 2f64.powi(53),
+                        "{} {}: counter {v}",
+                        run.run,
+                        d.id()
+                    ),
+                    MetricKind::Gauge => {
+                        assert!(v.is_finite(), "{} {}: gauge {v}", run.run, d.id())
+                    }
+                }
+            }
         }
     }
 }
