@@ -95,7 +95,7 @@ fn usage() -> ! {
          \x20                (steps every core every cycle; same results, slower)\n\
          --audit: attach the independent protocol/conservation auditors to every run\n\
          \x20        (results stay byte-identical; violations exit 4)\n\
-         --journal <file>: record completed cells for crash recovery\n\
+         --journal <file>: record completed figure-sweep cells for crash recovery\n\
          --resume: reload a journal's completed cells, re-running only the missing ones\n\
          --warm-cycles N: share one baseline warmup checkpoint (snapshotted at cycle N)\n\
          \x20                across every non-sampling sweep cell\n\
@@ -810,23 +810,26 @@ fn main() {
         skip_ahead,
         audit,
     };
-    if selected.first().map(String::as_str) == Some("audit") {
-        audit_main(selected.split_off(1));
-    }
-    if selected.first().map(String::as_str) == Some("trace") {
-        trace_main(selected.split_off(1), scale, knobs);
-    }
-    if selected.first().map(String::as_str) == Some("stats") {
-        stats_main(selected.split_off(1), scale, knobs);
-    }
-    if selected.first().map(String::as_str) == Some("checkpoint") {
-        checkpoint_main(selected.split_off(1), scale, knobs);
-    }
-    if selected.first().map(String::as_str) == Some("fairness") {
-        fairness_main(selected.split_off(1), scale, knobs);
-    }
-    if selected.first().map(String::as_str) == Some("hetero") {
-        hetero_main(selected.split_off(1), scale, knobs);
+    let subcommand: Option<fn(Vec<String>, Scale, EngineKnobs) -> !> =
+        match selected.first().map(String::as_str) {
+            Some("audit") => Some(|args, _, _| audit_main(args)),
+            Some("trace") => Some(trace_main),
+            Some("stats") => Some(stats_main),
+            Some("checkpoint") => Some(checkpoint_main),
+            Some("fairness") => Some(fairness_main),
+            Some("hetero") => Some(hetero_main),
+            _ => None,
+        };
+    if let Some(main) = subcommand {
+        // Only the figure sweep below journals its cells.
+        if journal_path.is_some() {
+            eprintln!(
+                "repro {}: --journal and --resume apply to figure sweeps only",
+                selected[0]
+            );
+            std::process::exit(2);
+        }
+        main(selected.split_off(1), scale, knobs);
     }
     if let Some(bad) = selected.iter().find(|s| !EXPERIMENTS.contains(&s.as_str())) {
         eprintln!("unknown experiment or option: {bad}");

@@ -45,6 +45,10 @@ impl Default for DramOrganization {
     }
 }
 
+/// Largest transaction queue a channel supports: the controller files
+/// queue slots in 64-bit sets, one bit per slot.
+pub const MAX_QUEUE_CAPACITY: usize = u64::BITS as usize;
+
 /// Complete DRAM subsystem configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramConfig {
@@ -54,7 +58,8 @@ pub struct DramConfig {
     pub preset: DevicePreset,
     /// Address interleaving policy.
     pub interleaving: Interleaving,
-    /// Transaction-queue capacity per channel (Table 3: 64).
+    /// Transaction-queue capacity per channel (Table 3: 64; at most
+    /// [`MAX_QUEUE_CAPACITY`]).
     pub queue_capacity: usize,
     /// Write-drain high watermark: when this many writes are queued the
     /// controller switches to write mode.
@@ -95,6 +100,12 @@ impl DramConfig {
         self.preset.timing.validate()?;
         if self.queue_capacity == 0 {
             return Err("transaction queue capacity must be nonzero".into());
+        }
+        if self.queue_capacity > MAX_QUEUE_CAPACITY {
+            return Err(format!(
+                "transaction queue capacity ({}) exceeds the maximum of {MAX_QUEUE_CAPACITY}",
+                self.queue_capacity
+            ));
         }
         if self.write_high_watermark <= self.write_low_watermark {
             return Err(format!(
@@ -156,6 +167,19 @@ mod tests {
         let mut c = DramConfig::paper_baseline();
         c.queue_capacity = 0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_catches_queue_above_slot_set_width() {
+        let mut c = DramConfig::paper_baseline();
+        c.queue_capacity = MAX_QUEUE_CAPACITY;
+        c.validate().unwrap();
+        c.queue_capacity = MAX_QUEUE_CAPACITY + 1;
+        let err = c.validate().unwrap_err();
+        assert!(
+            err.contains("capacity (65) exceeds the maximum of 64"),
+            "{err}"
+        );
     }
 
     #[test]

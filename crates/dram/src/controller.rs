@@ -11,12 +11,13 @@
 use crate::audit::ProtocolAuditor;
 use crate::bank::ChannelTiming;
 use crate::command::{CommandKind, DramCommand};
-use crate::config::DramConfig;
+use crate::config::{DramConfig, MAX_QUEUE_CAPACITY};
 use crate::mapping::DramLocation;
 use crate::queue::{Direction, Transaction};
 use crate::scheduler::{Candidate, CommandScheduler, SchedContext};
 use critmem_common::{
-    AuditSnapshot, ChannelId, DramCycle, MemRequest, MetricVisitor, Observable, RankId, Snapshot,
+    AuditSnapshot, BankId, ChannelId, DramCycle, MemRequest, MetricVisitor, Observable, RankId,
+    Snapshot,
 };
 use std::cmp::Reverse;
 
@@ -234,6 +235,22 @@ impl Observable for ChannelStats {
     }
 }
 
+/// One bank's queued transactions of one direction, as sets of queue
+/// slots (bit `i` is `queue[i]`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct SlotSets {
+    /// Slots whose row is the bank's open row.
+    hit: u64,
+    /// Every other slot.
+    other: u64,
+}
+
+impl SlotSets {
+    fn all(self) -> u64 {
+        self.hit | self.other
+    }
+}
+
 /// One DRAM channel: transaction queue + timing state + scheduler.
 pub struct ChannelController {
     channel: ChannelId,
@@ -260,18 +277,23 @@ pub struct ChannelController {
     refresh_check_at: DramCycle,
     /// While `now` is strictly below this, the candidate set is
     /// provably empty and generation is skipped. Valid only between
-    /// state changes: any enqueue, command issue, refresh activity, or
-    /// direction flip resets it to 0 (always rebuild).
+    /// state changes: any command issue, refresh activity, or direction
+    /// flip resets it to 0 (always rebuild); an enqueue lowers it to
+    /// the new transaction's earliest candidacy.
     no_cand_until: DramCycle,
     /// Per bank (`rank * banks_per_rank + bank`) and direction slot
-    /// ([`dir_slot`]): queued transactions whose row is the bank's open
-    /// row. Kept current on enqueue, CAS, ACT (recount the bank) and
-    /// PRE (zero the bank), so candidate building never rescans the
-    /// queue to learn whether a precharge would waste row hits.
-    row_wanted: Vec<[u32; 2]>,
-    /// Per bank and direction slot: queued transactions the starvation
-    /// cap has promoted. A bank with one quiesces its other work.
-    starved_in: Vec<[u32; 2]>,
+    /// ([`dir_slot`]): the bank's queue slots, split by whether they
+    /// hit its open row. Kept current on enqueue, CAS (clear the slot,
+    /// relabel the one `swap_remove` moved), ACT (split `other` by the
+    /// new row) and PRE (fold `hit` into `other`), so candidate
+    /// building never walks the queue.
+    slots: Vec<[SlotSets; 2]>,
+    /// Per direction slot: the banks whose [`SlotSets`] are non-empty,
+    /// one bit per bank.
+    busy: [Vec<u64>; 2],
+    /// Queue slots the starvation cap has promoted. A bank holding one
+    /// quiesces its other work.
+    starved: u64,
     /// No queued transaction crosses the starvation cap before this
     /// cycle: at most the earliest `arrival + cap + 1` of a
     /// non-promoted one (a removal may leave it early, which costs one
@@ -281,7 +303,6 @@ pub struct ChannelController {
     // Scratch buffers reused across ticks: cleared, never shrunk.
     refresh_ranks: Vec<RankId>,
     cand_buf: Vec<Candidate>,
-    bus_floor: Vec<DramCycle>,
     /// Shadow protocol auditor (`None` when auditing is off — the hot
     /// path pays one branch and the zero-allocation guarantee holds).
     audit: Option<Box<ProtocolAuditor>>,
@@ -307,6 +328,12 @@ impl ChannelController {
             cfg.preset.timing,
         );
         let nbanks = timing.ranks() * timing.banks_per_rank();
+        assert!(
+            cfg.queue_capacity <= MAX_QUEUE_CAPACITY,
+            "queue capacity {} exceeds the {MAX_QUEUE_CAPACITY} slots a slot set holds",
+            cfg.queue_capacity
+        );
+        let busy_words = nbanks.div_ceil(u64::BITS as usize);
         ChannelController {
             channel,
             cfg,
@@ -326,10 +353,10 @@ impl ChannelController {
             no_cand_until: 0,
             refresh_ranks: Vec::with_capacity(nbanks),
             cand_buf: Vec::with_capacity(cfg.queue_capacity),
-            row_wanted: vec![[0; 2]; nbanks],
-            starved_in: vec![[0; 2]; nbanks],
+            slots: vec![[SlotSets::default(); 2]; nbanks],
+            busy: [vec![0; busy_words], vec![0; busy_words]],
+            starved: 0,
             promote_at: DramCycle::MAX,
-            bus_floor: Vec::with_capacity(nbanks),
             audit: None,
         }
     }
@@ -486,11 +513,6 @@ impl ChannelController {
         }
         let txn = Transaction::new(req, loc, self.now, self.seq);
         self.seq += 1;
-        self.no_cand_until = 0;
-        if self.timing.bank(loc.rank, loc.bank).open_row == Some(loc.row) {
-            let idx = self.bank_slot(&loc);
-            self.row_wanted[idx][dir_slot(&txn)] += 1;
-        }
         self.promote_at = self
             .promote_at
             .min(txn.arrival.saturating_add(self.cfg.starvation_cap + 1));
@@ -500,7 +522,17 @@ impl ChannelController {
             self.queued_crit_reads += 1;
         }
         self.scheduler.on_enqueue(&txn, self.now);
+        let slot = self.queue.len();
         self.queue.push(txn);
+        self.file_slot(slot);
+        // The new transaction adds no candidate but its own, and filing
+        // it only blocks others (a row hit holds off its bank's PRE), so
+        // the proven-empty window holds up to its own candidacy. One of
+        // the other direction waits for a flip, which resets the window.
+        if self.queue[slot].matches_direction(self.direction) {
+            self.no_cand_until = self.no_cand_until.min(self.ready_at(slot));
+        }
+        self.no_cand_until = self.no_cand_until.min(self.promote_at);
         Ok(())
     }
 
@@ -846,7 +878,7 @@ impl ChannelController {
                             a.observe(&pre, now);
                         }
                         self.timing.issue(&pre, now);
-                        self.row_wanted[rank.index() * bpr + b] = [0; 2];
+                        self.file_closed_row(rank.index() * bpr + b);
                         return true;
                     }
                 }
@@ -870,6 +902,12 @@ impl ChannelController {
     /// set could become non-empty *absent any state change* — the
     /// caller may skip generation until then if the set came back
     /// empty.
+    ///
+    /// Only busy banks of the current direction are visited. A bank's
+    /// CAS, PRE and ACT readiness depends on the bank alone (and its
+    /// rank's bus floor), so each ready class ORs its whole slot set
+    /// into one mask per command kind; walking the union's bits in
+    /// ascending order yields queue order without a sort.
     fn build_candidates(&mut self) -> DramCycle {
         let now = self.now;
         if now >= self.promote_at {
@@ -885,64 +923,70 @@ impl ChannelController {
         // A starvation crossing changes candidacy (and is counted at an
         // exact cycle): cap any emptiness window at the next crossing.
         let mut next_cand_at = self.promote_at;
-        // All CAS candidates this cycle share one direction, so the
-        // data-bus floor only depends on the rank: compute it once per
-        // rank instead of once per queued transaction.
+        let (mut cas, mut pre, mut act) = (0u64, 0u64, 0u64);
+        // Every slot of a class shares its ready time: OR a ready class
+        // into its command's mask, or let it bound the empty window.
+        let mut file = |class: u64, mask: &mut u64| {
+            if class == 0 {
+                return;
+            }
+            let ready = self.ready_at(class.trailing_zeros() as usize);
+            if ready <= now {
+                *mask |= class;
+            } else {
+                next_cand_at = next_cand_at.min(ready);
+            }
+        };
+        for (w, &word) in self.busy[dir].iter().enumerate() {
+            let mut banks = word;
+            while banks != 0 {
+                let b = w * u64::BITS as usize + banks.trailing_zeros() as usize;
+                banks &= banks - 1;
+                let rank = RankId((b / bpr) as u8);
+                if self.refresh_ranks.contains(&rank) {
+                    continue;
+                }
+                let bank = self.timing.bank(rank, BankId((b % bpr) as u8));
+                let sets = self.slots[b][dir];
+                let (mut hit, mut other) = (sets.hit, sets.other);
+                // Bank quiescence for the starvation cap (§3.2): while a
+                // bank holds a starved transaction, no other work may
+                // issue there, or the starved PRE's tRTP window would
+                // keep sliding forever.
+                let starved = sets.all() & self.starved;
+                if starved != 0 {
+                    hit &= starved;
+                    other &= starved;
+                }
+                file(hit, &mut cas);
+                match bank.open_row {
+                    None => file(other, &mut act),
+                    // Row conflict: precharge, but not while another
+                    // transaction still wants the open row — unless a
+                    // starved one needs the row closed regardless.
+                    Some(_) if sets.hit == 0 || starved != 0 => file(other, &mut pre),
+                    Some(_) => {}
+                }
+            }
+        }
         let cas_kind = match self.direction {
             Direction::Read => CommandKind::Read,
             Direction::Write => CommandKind::Write,
         };
-        self.bus_floor.clear();
-        for r in 0..self.timing.ranks() {
-            self.bus_floor
-                .push(self.timing.cas_bus_floor(cas_kind, RankId(r as u8)));
-        }
         self.cand_buf.clear();
-        for (i, txn) in self.queue.iter().enumerate() {
-            if !txn.matches_direction(self.direction) {
-                continue;
-            }
-            if self.refresh_ranks.contains(&txn.loc.rank) {
-                continue;
-            }
-            // Bank quiescence for the starvation cap (§3.2): while a
-            // bank holds a starved same-direction transaction, no other
-            // work may issue there, or the starved PRE's tRTP window
-            // would keep sliding forever.
-            let idx = txn.loc.rank.index() * bpr + txn.loc.bank.index();
-            if self.starved_in[idx][dir] > 0 && !txn.starved {
-                continue;
-            }
-            let bank = self.timing.bank(txn.loc.rank, txn.loc.bank);
-            let (kind, ready, row_hit) = match bank.open_row {
-                Some(r) if r == txn.loc.row => {
-                    let own = if txn.is_read() {
-                        bank.next_rd
-                    } else {
-                        bank.next_wr
-                    };
-                    (
-                        cas_kind,
-                        own.max(self.bus_floor[txn.loc.rank.index()]),
-                        true,
-                    )
-                }
-                Some(_) => {
-                    // Row conflict: precharge, but not while another
-                    // serviceable transaction still wants the open row
-                    // — unless this transaction is starved, in which
-                    // case it may close the row regardless.
-                    if self.row_wanted[idx][dir] > 0 && !txn.starved {
-                        continue;
-                    }
-                    (CommandKind::Precharge, bank.next_pre, false)
-                }
-                None => (CommandKind::Activate, bank.next_act, false),
+        let mut ready = cas | pre | act;
+        while ready != 0 {
+            let i = ready.trailing_zeros() as usize;
+            let bit = ready & ready.wrapping_neg();
+            ready &= ready - 1;
+            let txn = &self.queue[i];
+            let kind = if cas & bit != 0 {
+                cas_kind
+            } else if pre & bit != 0 {
+                CommandKind::Precharge
+            } else {
+                CommandKind::Activate
             };
-            if ready > now {
-                next_cand_at = next_cand_at.min(ready);
-                continue;
-            }
             self.cand_buf.push(Candidate {
                 txn: i,
                 cmd: DramCommand {
@@ -951,11 +995,31 @@ impl ChannelController {
                     bank: txn.loc.bank,
                     row: txn.loc.row,
                 },
-                row_hit,
+                row_hit: cas & bit != 0,
                 crit: txn.effective_criticality(now, cap),
             });
         }
         next_cand_at
+    }
+
+    /// Earliest cycle at which the command class of queue slot `slot`
+    /// (its bank's CAS, PRE or ACT, in the slot's own direction) is
+    /// timing-ready. Every slot of a bank's class shares it.
+    fn ready_at(&self, slot: usize) -> DramCycle {
+        let txn = &self.queue[slot];
+        let bank = self.timing.bank(txn.loc.rank, txn.loc.bank);
+        match bank.open_row {
+            Some(r) if r == txn.loc.row => {
+                let (kind, own) = if txn.is_read() {
+                    (CommandKind::Read, bank.next_rd)
+                } else {
+                    (CommandKind::Write, bank.next_wr)
+                };
+                own.max(self.timing.cas_bus_floor(kind, txn.loc.rank))
+            }
+            Some(_) => bank.next_pre,
+            None => bank.next_act,
+        }
     }
 
     /// Promotes every queued transaction that has aged past the
@@ -964,17 +1028,15 @@ impl ChannelController {
     fn promote_starved(&mut self) {
         let now = self.now;
         let cap = self.cfg.starvation_cap;
-        let bpr = self.timing.banks_per_rank();
         let mut next = DramCycle::MAX;
-        for txn in &mut self.queue {
+        for (i, txn) in self.queue.iter_mut().enumerate() {
             if txn.starved {
                 continue;
             }
             if txn.age(now) > cap {
                 txn.starved = true;
                 self.stats.starvation_promotions += 1;
-                let idx = txn.loc.rank.index() * bpr + txn.loc.bank.index();
-                self.starved_in[idx][dir_slot(txn)] += 1;
+                self.starved |= 1 << i;
             } else {
                 next = next.min(txn.arrival.saturating_add(cap + 1));
             }
@@ -982,80 +1044,137 @@ impl ChannelController {
         self.promote_at = next;
     }
 
-    /// The `row_wanted`/`starved_in` index of a location's bank.
-    fn bank_slot(&self, loc: &DramLocation) -> usize {
+    /// The [`Self::slots`] index of a location's bank.
+    fn bank_index(&self, loc: &DramLocation) -> usize {
         loc.rank.index() * self.timing.banks_per_rank() + loc.bank.index()
     }
 
-    /// Recounts `row_wanted` for one bank against its open row (after
-    /// an ACT changed it).
-    fn recount_row_wanted(&mut self, loc: &DramLocation) {
-        let idx = self.bank_slot(loc);
-        let mut counts = [0; 2];
-        if let Some(row) = self.timing.bank(loc.rank, loc.bank).open_row {
-            for txn in &self.queue {
-                if txn.loc.rank == loc.rank && txn.loc.bank == loc.bank && txn.loc.row == row {
-                    counts[dir_slot(txn)] += 1;
+    /// Files queue slot `slot` in its bank's slot sets, the busy set
+    /// and the starved set.
+    fn file_slot(&mut self, slot: usize) {
+        let txn = &self.queue[slot];
+        let (b, d) = (self.bank_index(&txn.loc), dir_slot(txn));
+        let bit = 1u64 << slot;
+        let sets = &mut self.slots[b][d];
+        if self.timing.bank(txn.loc.rank, txn.loc.bank).open_row == Some(txn.loc.row) {
+            sets.hit |= bit;
+        } else {
+            sets.other |= bit;
+        }
+        let (w, m) = busy_bit(b);
+        self.busy[d][w] |= m;
+        if txn.starved {
+            self.starved |= bit;
+        }
+    }
+
+    /// Removes the transaction a CAS just served from the queue and
+    /// from its slot sets, and relabels the slot that `swap_remove`
+    /// moved into its place.
+    fn remove_served(&mut self, slot: usize) -> Transaction {
+        let last = self.queue.len() - 1;
+        let txn = self.queue.swap_remove(slot);
+        let (b, d) = (self.bank_index(&txn.loc), dir_slot(&txn));
+        let bit = 1u64 << slot;
+        // A CAS always targets its bank's open row.
+        self.slots[b][d].hit &= !bit;
+        self.starved &= !bit;
+        if self.slots[b][d].all() == 0 {
+            let (w, m) = busy_bit(b);
+            self.busy[d][w] &= !m;
+        }
+        if slot != last {
+            let moved = &self.queue[slot];
+            let (b, d) = (self.bank_index(&moved.loc), dir_slot(moved));
+            let from = 1u64 << last;
+            let sets = &mut self.slots[b][d];
+            for set in [&mut sets.hit, &mut sets.other, &mut self.starved] {
+                if *set & from != 0 {
+                    *set ^= from | bit;
                 }
             }
         }
-        self.row_wanted[idx] = counts;
+        txn
     }
 
-    /// Recounts both per-bank counters for every bank and the promotion
-    /// gate from the queue (after a restore or a rogue command).
+    /// Moves the slots of `loc`'s bank whose row an ACT just opened
+    /// (`loc.row`) from `other` to `hit`.
+    fn file_opened_row(&mut self, loc: &DramLocation) {
+        let b = self.bank_index(loc);
+        for sets in &mut self.slots[b] {
+            let mut rest = sets.other;
+            while rest != 0 {
+                let i = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                if self.queue[i].loc.row == loc.row {
+                    sets.hit |= 1 << i;
+                }
+            }
+            sets.other &= !sets.hit;
+        }
+    }
+
+    /// Folds bank `b`'s `hit` sets into `other` after a PRE closed its
+    /// row.
+    fn file_closed_row(&mut self, b: usize) {
+        for sets in &mut self.slots[b] {
+            sets.other |= sets.hit;
+            sets.hit = 0;
+        }
+    }
+
+    /// Refiles every queued slot and resets the promotion gate (after a
+    /// restore or a rogue command).
     fn recount_bank_state(&mut self) {
-        self.row_wanted.fill([0; 2]);
-        self.starved_in.fill([0; 2]);
-        for txn in &self.queue {
-            let idx = self.bank_slot(&txn.loc);
-            if self.timing.bank(txn.loc.rank, txn.loc.bank).open_row == Some(txn.loc.row) {
-                self.row_wanted[idx][dir_slot(txn)] += 1;
-            }
-            if txn.starved {
-                self.starved_in[idx][dir_slot(txn)] += 1;
-            }
+        self.slots.fill([SlotSets::default(); 2]);
+        for words in &mut self.busy {
+            words.fill(0);
+        }
+        self.starved = 0;
+        for slot in 0..self.queue.len() {
+            self.file_slot(slot);
         }
         // A scan at the next build recomputes the gate exactly.
         self.promote_at = 0;
     }
 
-    /// Whether `row_wanted`, `starved_in` and `promote_at` agree with
-    /// a recount of the queue. Linear and allocation-free, because the
-    /// debug builds of the allocation guard run it on every build: it
-    /// takes each queued transaction's share off its bank's counters,
-    /// checks that every counter is then zero, and puts the shares
-    /// back.
-    fn bank_state_matches_queue(&mut self) -> bool {
+    /// Whether the slot sets, the busy set, the starved set and
+    /// `promote_at` agree with a recount of the queue. Allocation-free,
+    /// because the debug builds of the allocation guard run it on every
+    /// build: each queued slot must sit in the set its bank's open row
+    /// names, the sets must hold no other bit, and a bank must be busy
+    /// exactly when its sets are non-empty.
+    fn bank_state_matches_queue(&self) -> bool {
         let cap = self.cfg.starvation_cap;
         let gate_ok = self
             .queue
             .iter()
             .all(|t| t.starved || t.arrival.saturating_add(cap + 1) >= self.promote_at);
-        let mut zeroed = false;
-        for take in [true, false] {
-            let step = |c: &mut u32| {
-                *c = if take {
-                    c.wrapping_sub(1)
-                } else {
-                    c.wrapping_add(1)
-                }
-            };
-            for txn in &self.queue {
-                let (idx, d) = (self.bank_slot(&txn.loc), dir_slot(txn));
-                if self.timing.bank(txn.loc.rank, txn.loc.bank).open_row == Some(txn.loc.row) {
-                    step(&mut self.row_wanted[idx][d]);
-                }
-                if txn.starved {
-                    step(&mut self.starved_in[idx][d]);
-                }
-            }
-            if take {
-                let zero = |v: &[[u32; 2]]| v.iter().all(|c| *c == [0; 2]);
-                zeroed = zero(&self.row_wanted) && zero(&self.starved_in);
+        let filed = self.queue.iter().enumerate().all(|(i, txn)| {
+            let bit = 1u64 << i;
+            let sets = self.slots[self.bank_index(&txn.loc)][dir_slot(txn)];
+            let hit = self.timing.bank(txn.loc.rank, txn.loc.bank).open_row == Some(txn.loc.row);
+            let set = if hit { sets.hit } else { sets.other };
+            set & bit != 0 && (self.starved & bit != 0) == txn.starved
+        });
+        let (mut slots, mut busy) = (0, 0);
+        let mut busy_ok = true;
+        for (b, pair) in self.slots.iter().enumerate() {
+            for (d, sets) in pair.iter().enumerate() {
+                slots += sets.hit.count_ones() + sets.other.count_ones();
+                let (w, m) = busy_bit(b);
+                busy_ok &= (self.busy[d][w] & m != 0) == (sets.all() != 0);
+                busy += u32::from(sets.all() != 0);
             }
         }
-        gate_ok && zeroed
+        let busy_bits: u32 = self.busy.iter().flatten().map(|w| w.count_ones()).sum();
+        let n = self.queue.len();
+        gate_ok
+            && filed
+            && busy_ok
+            && slots as usize == n
+            && busy_bits == busy
+            && self.starved.checked_shr(n as u32).unwrap_or(0) == 0
     }
 
     fn issue_candidate(&mut self, cand: Candidate) {
@@ -1069,21 +1188,15 @@ impl ChannelController {
             CommandKind::Activate => {
                 self.queue[cand.txn].caused_activate = true;
                 let loc = self.queue[cand.txn].loc;
-                self.recount_row_wanted(&loc);
+                self.file_opened_row(&loc);
             }
             CommandKind::Precharge => {
                 self.queue[cand.txn].caused_precharge = true;
-                let idx = self.bank_slot(&self.queue[cand.txn].loc);
-                self.row_wanted[idx] = [0; 2];
+                let b = self.bank_index(&self.queue[cand.txn].loc);
+                self.file_closed_row(b);
             }
             CommandKind::Read | CommandKind::Write => {
-                let txn = self.queue.swap_remove(cand.txn);
-                // A CAS always targets its bank's open row.
-                let (idx, d) = (self.bank_slot(&txn.loc), dir_slot(&txn));
-                self.row_wanted[idx][d] -= 1;
-                if txn.starved {
-                    self.starved_in[idx][d] -= 1;
-                }
+                let txn = self.remove_served(cand.txn);
                 if !txn.is_read() {
                     self.queued_writes -= 1;
                 } else if txn.req.crit.is_critical() {
@@ -1266,10 +1379,16 @@ impl ChannelController {
     }
 }
 
-/// Direction slot of a transaction in the per-bank counters: 0 for
+/// Direction slot of a transaction in the per-bank slot sets: 0 for
 /// reads and prefetches, 1 for writes.
 fn dir_slot(txn: &Transaction) -> usize {
     usize::from(!txn.is_read())
+}
+
+/// Word and mask of bank `b` in a busy set.
+fn busy_bit(b: usize) -> (usize, u64) {
+    let bits = u64::BITS as usize;
+    (b / bits, 1 << (b % bits))
 }
 
 #[cfg(test)]
@@ -1498,19 +1617,27 @@ mod bank_state_tests {
     use critmem_common::codec::{ByteReader, ByteWriter};
     use critmem_common::{AccessKind, BankId, CoreId, Criticality, SmallRng};
 
-    /// Recounts `row_wanted` and `starved_in` from the queue and checks
-    /// the promotion gate against every non-promoted transaction.
+    /// Refiles the queue into fresh slot, busy and starved sets,
+    /// checks the controller's against them, and checks the promotion
+    /// gate against every non-promoted transaction.
     fn assert_matches_recount(ctl: &ChannelController, step: u64) {
         let bpr = ctl.timing.banks_per_rank();
-        let mut wanted = vec![[0u32; 2]; ctl.row_wanted.len()];
-        let mut starved = wanted.clone();
-        for txn in &ctl.queue {
-            let idx = txn.loc.rank.index() * bpr + txn.loc.bank.index();
+        let mut slots = vec![[SlotSets::default(); 2]; ctl.slots.len()];
+        let mut busy = [0, 1].map(|d| vec![0u64; ctl.busy[d].len()]);
+        let mut starved = 0u64;
+        for (i, txn) in ctl.queue.iter().enumerate() {
+            let (b, d) = (
+                txn.loc.rank.index() * bpr + txn.loc.bank.index(),
+                dir_slot(txn),
+            );
             if ctl.timing.bank(txn.loc.rank, txn.loc.bank).open_row == Some(txn.loc.row) {
-                wanted[idx][dir_slot(txn)] += 1;
+                slots[b][d].hit |= 1 << i;
+            } else {
+                slots[b][d].other |= 1 << i;
             }
+            busy[d][b / 64] |= 1 << (b % 64);
             if txn.starved {
-                starved[idx][dir_slot(txn)] += 1;
+                starved |= 1 << i;
             } else {
                 assert!(
                     txn.arrival + ctl.cfg.starvation_cap + 1 >= ctl.promote_at,
@@ -1518,8 +1645,10 @@ mod bank_state_tests {
                 );
             }
         }
-        assert_eq!(ctl.row_wanted, wanted, "row_wanted at step {step}");
-        assert_eq!(ctl.starved_in, starved, "starved_in at step {step}");
+        assert_eq!(ctl.slots, slots, "slot sets at step {step}");
+        assert_eq!(ctl.busy, busy, "busy banks at step {step}");
+        assert_eq!(ctl.starved, starved, "starved slots at step {step}");
+        assert!(ctl.bank_state_matches_queue(), "self-check at step {step}");
     }
 
     fn state_bytes(ctl: &ChannelController) -> Vec<u8> {
@@ -1529,17 +1658,19 @@ mod bank_state_tests {
     }
 
     /// Draws one request (light and heavy, read- and write-heavy
-    /// phases over 32 banks x 6 rows) and offers it to every
-    /// controller in `ctls`.
+    /// phases over the first `pages` 4 KB pages: 32 banks x 6 rows at
+    /// 192 on the baseline organization) and offers it to every
+    /// controller in `ctls`. Returns whether the first one accepted it.
     fn offer(
         ctls: &mut [&mut ChannelController],
         rng: &mut SmallRng,
         map: &AddressMapping,
         id: u64,
-    ) {
+        pages: u64,
+    ) -> bool {
         let phase = id / 1_500;
         if !rng.gen_bool([0.05, 0.3][phase as usize % 2]) {
-            return;
+            return false;
         }
         let kind = if rng.gen_bool([0.15, 0.7][(phase / 2) as usize % 2]) {
             AccessKind::Write
@@ -1548,19 +1679,21 @@ mod bank_state_tests {
         } else {
             AccessKind::Read
         };
-        let addr = rng.gen_range(0..192) * 4_096 + rng.gen_range(0..16) * 64;
+        let addr = rng.gen_range(0..pages) * 4_096 + rng.gen_range(0..16) * 64;
         let crit = if rng.gen_bool(0.3) {
             Criticality::ranked(rng.gen_range(1..100))
         } else {
             Criticality::non_critical()
         };
         let req = MemRequest::new(id, addr, kind, CoreId((id % 8) as u8)).with_criticality(crit);
+        let mut accepted = Vec::new();
         for ctl in ctls {
-            let _ = ctl.enqueue(req, map.locate(addr));
+            accepted.push(ctl.enqueue(req, map.locate(addr)).is_ok());
         }
+        accepted[0]
     }
 
-    /// Drives every input that moves the per-bank counters — enqueues,
+    /// Drives every input that moves the per-bank slot sets — enqueues,
     /// CAS, ACT, candidate and refresh PREs, promotions, a wedged bank,
     /// a rogue decision, a scheduler swap — and checks them against a
     /// recount after each step. Then restores a mid-run snapshot, taken
@@ -1574,7 +1707,7 @@ mod bank_state_tests {
         let mut ctl = ChannelController::new(ChannelId(0), cfg, Box::new(Fcfs::new()));
         let mut rng = SmallRng::seed_from_u64(0xBA4C);
         for step in 0..11_000u64 {
-            offer(&mut [&mut ctl], &mut rng, &map, step);
+            offer(&mut [&mut ctl], &mut rng, &map, step, 192);
             assert_matches_recount(&ctl, step);
             match step {
                 6_000 => ctl.wedge_bank(RankId(1), BankId(3)),
@@ -1585,8 +1718,8 @@ mod bank_state_tests {
             ctl.tick();
             assert_matches_recount(&ctl, step);
         }
-        let wedged = RankId(1).index() * ctl.timing.banks_per_rank() + 3;
-        assert!(ctl.starved_in[wedged][0] + ctl.starved_in[wedged][1] > 0);
+        let wedged = ctl.slots[RankId(1).index() * ctl.timing.banks_per_rank() + 3];
+        assert!((wedged[0].all() | wedged[1].all()) & ctl.starved != 0);
         assert!(ctl.stats.refreshes > 0 && ctl.stats.writes_completed > 0);
 
         let bytes = state_bytes(&ctl);
@@ -1596,7 +1729,7 @@ mod bank_state_tests {
             .unwrap();
         assert_matches_recount(&restored, 11_000);
         for step in 11_000..16_000u64 {
-            offer(&mut [&mut ctl, &mut restored], &mut rng, &map, step);
+            offer(&mut [&mut ctl, &mut restored], &mut rng, &map, step, 192);
             let (a, b) = (ctl.tick(), restored.tick());
             assert_eq!(a, b, "completions diverged at step {step}");
             assert_matches_recount(&restored, step);
@@ -1607,5 +1740,72 @@ mod bank_state_tests {
             );
         }
         assert!(ctl.stats.starvation_promotions > 0);
+    }
+
+    /// Runs the seeded request sequence on 8 ranks x 16 banks, so the
+    /// busy set spans two words. The sets must match a recount after
+    /// every input, a mid-run snapshot must restore into a controller
+    /// that ticks byte-identically, and every accepted request must
+    /// complete once the offers stop.
+    #[test]
+    fn slot_sets_hold_past_64_banks() {
+        let mut cfg = DramConfig::paper_baseline();
+        cfg.org.ranks_per_channel = 8;
+        cfg.org.banks_per_rank = 16;
+        cfg.starvation_cap = 150;
+        cfg.validate().unwrap();
+        let map = AddressMapping::new(cfg.org, Interleaving::Page);
+        let mut ctl = ChannelController::new(ChannelId(0), cfg, Box::new(Fcfs::new()));
+        assert_eq!(ctl.busy[0].len(), 2);
+        let mut rng = SmallRng::seed_from_u64(0x80B4);
+        let mut pending = std::collections::HashSet::new();
+        let complete = |pending: &mut std::collections::HashSet<u64>, done: &[CompletedTxn]| {
+            for c in done {
+                assert!(
+                    pending.remove(&c.req.id),
+                    "request {} completed twice",
+                    c.req.id
+                );
+            }
+        };
+        let pages = 128 * 3;
+        for step in 0..6_000u64 {
+            if offer(&mut [&mut ctl], &mut rng, &map, step, pages) {
+                pending.insert(step);
+            }
+            assert_matches_recount(&ctl, step);
+            complete(&mut pending, &ctl.tick());
+            assert_matches_recount(&ctl, step);
+        }
+        let high_banks = ctl.busy.iter().any(|words| words[1] != 0);
+        assert!(high_banks, "no bank past the 64th was busy");
+
+        let bytes = state_bytes(&ctl);
+        let mut restored = ChannelController::new(ChannelId(0), cfg, Box::new(Fcfs::new()));
+        restored
+            .load_state(&mut ByteReader::new(&bytes), true)
+            .unwrap();
+        assert_matches_recount(&restored, 6_000);
+        for step in 6_000..20_000u64 {
+            if step < 9_000 && offer(&mut [&mut ctl, &mut restored], &mut rng, &map, step, pages) {
+                pending.insert(step);
+            }
+            let (a, b) = (ctl.tick(), restored.tick());
+            assert_eq!(a, b, "completions diverged at step {step}");
+            complete(&mut pending, &a);
+            assert_matches_recount(&restored, step);
+            assert_eq!(
+                state_bytes(&ctl),
+                state_bytes(&restored),
+                "restored controller diverged at step {step}"
+            );
+        }
+        assert_eq!(ctl.outstanding(), 0);
+        assert!(
+            pending.is_empty(),
+            "{} requests never completed",
+            pending.len()
+        );
+        assert!(ctl.stats.writes_completed > 0 && ctl.stats.starvation_promotions > 0);
     }
 }

@@ -141,6 +141,18 @@ if [ "$rc" -ne 1 ] || ! grep -q 'unsupported sweep journal version 1' "$tmp/v1.e
   exit 1
 fi
 
+echo "== journal scope smoke test (a subcommand refuses --journal, exit 2)"
+# Only figure sweeps journal their cells: a subcommand given --journal
+# must name itself, exit 2 and leave no journal file behind.
+rc=0
+./target/release/repro --scale quick --journal "$tmp/j.cmjr" stats swim \
+  > /dev/null 2> "$tmp/j.err" || rc=$?
+if [ "$rc" -ne 2 ] || [ -e "$tmp/j.cmjr" ] || ! grep -q '^repro stats: ' "$tmp/j.err"; then
+  echo "journal scope smoke: 'stats --journal' exited $rc, expected 2 and no j.cmjr:" >&2
+  cat "$tmp/j.err" >&2
+  exit 1
+fi
+
 echo "== stats export smoke test (JSONL, serial == --jobs 2 == --no-skip-ahead)"
 ./target/release/repro --scale quick --jobs 1 stats swim --epoch 20000 > "$tmp/stats.serial" 2>/dev/null
 ./target/release/repro --scale quick --jobs 2 stats swim --epoch 20000 > "$tmp/stats.jobs2" 2>/dev/null
@@ -199,7 +211,7 @@ echo "== audit smoke test (--audit byte-identical, campaign 100% detection)"
 ./target/release/repro --scale quick --jobs 1 --audit fig10 > "$tmp/fig10.audit" 2>/dev/null
 diff "$tmp/fig10.serial" "$tmp/fig10.audit"
 # The hetero mix adds write drains and agents: the protocol auditor
-# re-checks every command the controller's per-bank counters let through.
+# re-checks every command the controller's per-bank slot sets let through.
 ./target/release/repro --scale quick --jobs 1 --audit hetero 'ooo:mcf+stream+bulk' \
   > "$tmp/hetero.audit" 2>/dev/null
 diff "$tmp/hetero.serial" "$tmp/hetero.audit"
