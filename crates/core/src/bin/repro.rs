@@ -35,7 +35,7 @@ use critmem::experiments::{
     synth_replay, table5, table7, trace_sweep, Runner, Scale,
 };
 use critmem::journal::SweepJournal;
-use critmem::{AgentMix, Checkpoint, Session, SystemConfig};
+use critmem::{AgentMix, Checkpoint, Session};
 use critmem_common::{SeriesExport, SimError};
 use critmem_predict::CbpMetric;
 use critmem_sched::SchedulerKind;
@@ -100,7 +100,10 @@ fn usage() -> ! {
          --warm-cycles N: share one baseline warmup checkpoint (snapshotted at cycle N)\n\
          \x20                across every non-sampling sweep cell\n\
          exit codes: 0 ok, 2 configuration error, 3 watchdog (livelocked run),\n\
-         \x20           4 audit violation, 1 other failure",
+         \x20           4 audit violation, 1 other failure; a figure sweep, trace capture,\n\
+         \x20           trace sweep, stats, fairness, hetero or checkpoint sweep with a\n\
+         \x20           failed cell prints === Failed cells === and exits with the highest\n\
+         \x20           code among them (trace capture then writes no file)",
         EXPERIMENTS.join(" ")
     );
     std::process::exit(2);
@@ -125,22 +128,33 @@ fn fail_replay(file: &str, err: SimError) -> ! {
     fail(err)
 }
 
-/// The engine-level knobs shared by every subcommand: sweep-level
-/// worker threads, skip-ahead and auditing. None of them change
-/// results.
-#[derive(Clone, Copy)]
-struct EngineKnobs {
-    jobs: usize,
-    skip_ahead: bool,
-    audit: bool,
-}
-
-impl EngineKnobs {
-    fn apply(self, r: &mut Runner) {
-        r.jobs = self.jobs;
-        r.skip_ahead = self.skip_ahead;
-        r.audit = self.audit;
+/// The one exit path of every subcommand that runs cells on the
+/// [`Runner`]. With every cell clean it exits 0; otherwise it prints
+/// the `=== Failed cells ===` report on stdout and exits with the
+/// highest exit code among the failed cells. `resumable` adds the
+/// `--journal … --resume` hint, which only figure sweeps can act on.
+fn finish(r: &Runner, resumable: bool) -> ! {
+    eprintln!("{} distinct simulations executed", r.runs_executed());
+    let failures = r.failures();
+    if failures.is_empty() {
+        std::process::exit(0);
     }
+    println!("\n=== Failed cells ===");
+    for f in failures {
+        println!("{}: {}", f.key, f.error);
+    }
+    let hint = if resumable {
+        " Re-run with --journal <file> --resume to retry only the missing cells."
+    } else {
+        ""
+    };
+    println!(
+        "{} cell(s) failed; results that depend on them hold placeholder values \
+         or are left out.{hint}",
+        failures.len()
+    );
+    let code = failures.iter().map(|f| f.error.exit_code()).max();
+    std::process::exit(code.unwrap_or(1));
 }
 
 /// Leaks an app name into the `&'static str` the workload tables use,
@@ -159,10 +173,7 @@ fn static_app(name: &str) -> &'static str {
         })
 }
 
-fn trace_main(args: Vec<String>, scale: Scale, knobs: EngineKnobs) -> ! {
-    let mut r = Runner::new(scale);
-    r.verbose = true;
-    knobs.apply(&mut r);
+fn trace_main(args: Vec<String>, mut r: Runner) -> ! {
     match args.first().map(String::as_str) {
         Some("capture") => {
             let [_, app, file] = args.as_slice() else {
@@ -170,20 +181,23 @@ fn trace_main(args: Vec<String>, scale: Scale, knobs: EngineKnobs) -> ! {
             };
             let app = static_app(app);
             let trace = r.capture(app);
-            trace.save(std::path::Path::new(file)).unwrap_or_else(|e| {
-                eprintln!("cannot write {file}: {e}");
-                std::process::exit(1);
-            });
-            println!(
-                "captured {} requests from {app} ({} instr/core) -> {file}",
-                trace.records.len(),
-                r.scale.instructions
-            );
-            std::process::exit(0);
+            // A failed capture holds an empty placeholder: write nothing.
+            if !r.has_failures() {
+                trace.save(std::path::Path::new(file)).unwrap_or_else(|e| {
+                    eprintln!("cannot write {file}: {e}");
+                    std::process::exit(1);
+                });
+                println!(
+                    "captured {} requests from {app} ({} instr/core) -> {file}",
+                    trace.records.len(),
+                    r.scale.instructions
+                );
+            }
+            finish(&r, false);
         }
         Some("replay") => {
             let (file, sched, replay_cfg, requests, seed) =
-                parse_replay_flags(args.into_iter().skip(1), knobs.audit);
+                parse_replay_flags(args.into_iter().skip(1), r.audit);
             // Sampling flags belong to `trace stream`; the counts to `synth`.
             let sampled = replay_cfg.sample_epoch.is_some() || replay_cfg.sample_window.is_some();
             let (Some(file), None, None, false) = (file, requests, seed, sampled) else {
@@ -206,7 +220,7 @@ fn trace_main(args: Vec<String>, scale: Scale, knobs: EngineKnobs) -> ! {
         }
         Some("stream") => {
             let (file, sched, replay_cfg, _, _) =
-                parse_replay_flags(args.into_iter().skip(1), knobs.audit);
+                parse_replay_flags(args.into_iter().skip(1), r.audit);
             let Some(file) = file else { usage() };
             let stream = TraceStream::open(std::path::Path::new(&file)).unwrap_or_else(|e| {
                 eprintln!("cannot read {file}: {e}");
@@ -258,7 +272,7 @@ fn trace_main(args: Vec<String>, scale: Scale, knobs: EngineKnobs) -> ! {
         }
         Some("synth") => {
             let (file, sched, replay_cfg, requests, seed) =
-                parse_replay_flags(args.into_iter().skip(1), knobs.audit);
+                parse_replay_flags(args.into_iter().skip(1), r.audit);
             let (Some(file), Some(requests)) = (file, requests) else {
                 usage()
             };
@@ -287,7 +301,7 @@ fn trace_main(args: Vec<String>, scale: Scale, knobs: EngineKnobs) -> ! {
             let sweep = trace_sweep(&mut r, app);
             println!("{}", sweep.to_table());
             println!("{}", sweep.timing_summary());
-            std::process::exit(0);
+            finish(&r, false);
         }
         _ => usage(),
     }
@@ -375,17 +389,6 @@ fn print_replay_summary(stats: &critmem_trace::ReplayStats) {
     }
 }
 
-/// The platform every checkpoint subcommand builds: the same base
-/// configuration the figure sweeps use at this scale, so checkpoints
-/// written here restore onto sweep cells.
-fn checkpoint_cfg(scale: &Scale, knobs: EngineKnobs) -> SystemConfig {
-    let mut cfg = SystemConfig::paper_baseline(scale.instructions);
-    cfg.max_cycles = scale.instructions.saturating_mul(20_000).max(1_000_000_000);
-    cfg.skip_ahead = knobs.skip_ahead;
-    cfg.audit = knobs.audit;
-    cfg
-}
-
 /// The warm-start table: one shared warmup, every scheduler fanned out
 /// from it (driven twice by [`Runner::run_parallel`]: plan + execute).
 fn checkpoint_sweep_table(r: &mut Runner, app: &'static str) -> experiments::TextTable {
@@ -414,7 +417,10 @@ fn checkpoint_sweep_table(r: &mut Runner, app: &'static str) -> experiments::Tex
     t
 }
 
-fn checkpoint_main(args: Vec<String>, scale: Scale, knobs: EngineKnobs) -> ! {
+/// `repro checkpoint save|restore|sweep`. Save and restore build the
+/// figure sweeps' parallel platform, so checkpoints written here
+/// restore onto sweep cells.
+fn checkpoint_main(args: Vec<String>, mut r: Runner) -> ! {
     match args.first().map(String::as_str) {
         Some("save") => {
             let mut app = None;
@@ -435,7 +441,7 @@ fn checkpoint_main(args: Vec<String>, scale: Scale, knobs: EngineKnobs) -> ! {
             let (Some(app), Some(file)) = (app, file) else {
                 usage()
             };
-            let ckpt = Session::new(checkpoint_cfg(&scale, knobs), &AgentMix::Parallel(app))
+            let ckpt = Session::new(r.parallel_cfg(), &AgentMix::Parallel(app))
                 .checkpoint_at(cycles)
                 .run_to_checkpoint()
                 .unwrap_or_else(|e| fail(e));
@@ -445,7 +451,7 @@ fn checkpoint_main(args: Vec<String>, scale: Scale, knobs: EngineKnobs) -> ! {
                 "checkpointed {app} at cycle {} ({} state bytes, {} instr/core target) -> {file}",
                 ckpt.cycle(),
                 ckpt.state_len(),
-                scale.instructions
+                r.scale.instructions
             );
             std::process::exit(0);
         }
@@ -474,9 +480,7 @@ fn checkpoint_main(args: Vec<String>, scale: Scale, knobs: EngineKnobs) -> ! {
                 usage()
             };
             let ckpt = Checkpoint::load(std::path::Path::new(&file)).unwrap_or_else(|e| fail(e));
-            let cfg = checkpoint_cfg(&scale, knobs)
-                .with_scheduler(sched)
-                .with_predictor(pred);
+            let cfg = r.parallel_cfg().with_scheduler(sched).with_predictor(pred);
             let out = Session::from_checkpoint(&ckpt, cfg, &AgentMix::Parallel(app))
                 .run()
                 .unwrap_or_else(|e| fail(e));
@@ -507,17 +511,10 @@ fn checkpoint_main(args: Vec<String>, scale: Scale, knobs: EngineKnobs) -> ! {
                     v => app = static_app(v),
                 }
             }
-            let mut r = Runner::new(scale);
-            r.verbose = true;
-            knobs.apply(&mut r);
             r.warm_cycles = Some(cycles);
             let table = r.run_parallel(|r| checkpoint_sweep_table(r, app));
             println!("{table}");
-            eprintln!(
-                "{} distinct simulations executed (shared warmup at cycle {cycles})",
-                r.runs_executed()
-            );
-            std::process::exit(0);
+            finish(&r, false);
         }
         _ => usage(),
     }
@@ -564,7 +561,7 @@ impl ExportFlags {
     }
 }
 
-fn stats_main(args: Vec<String>, scale: Scale, knobs: EngineKnobs) -> ! {
+fn stats_main(args: Vec<String>, mut r: Runner) -> ! {
     let mut apps: Vec<&'static str> = Vec::new();
     let mut sched = SchedulerKind::CasRasCrit;
     let mut pred = PredictorKind::cbp64(CbpMetric::MaxStallTime);
@@ -590,11 +587,8 @@ fn stats_main(args: Vec<String>, scale: Scale, knobs: EngineKnobs) -> ! {
         }
     }
     if apps.is_empty() {
-        apps = scale.apps.clone();
+        apps = r.scale.apps.clone();
     }
-    let mut r = Runner::new(scale);
-    r.verbose = true;
-    knobs.apply(&mut r);
     let export = stats_export(&mut r, &apps, sched, pred, epoch);
     let samples: usize = export.runs.iter().map(|r| r.series.len()).sum();
     export_flags.emit(
@@ -605,7 +599,7 @@ fn stats_main(args: Vec<String>, scale: Scale, knobs: EngineKnobs) -> ! {
             export.runs.first().map_or(0, |r| r.series.schema().len())
         ),
     );
-    std::process::exit(0);
+    finish(&r, false);
 }
 
 /// Validates a bundle name against the Table 4 bundle list, returning
@@ -622,7 +616,7 @@ fn static_bundle(name: &str) -> &'static str {
         })
 }
 
-fn fairness_main(args: Vec<String>, mut scale: Scale, knobs: EngineKnobs) -> ! {
+fn fairness_main(args: Vec<String>, mut r: Runner) -> ! {
     let mut bundles: Vec<&'static str> = Vec::new();
     let mut export_flags = ExportFlags::default();
     let mut it = args.into_iter();
@@ -633,11 +627,8 @@ fn fairness_main(args: Vec<String>, mut scale: Scale, knobs: EngineKnobs) -> ! {
         }
     }
     if !bundles.is_empty() {
-        scale.bundles = bundles;
+        r.scale.bundles = bundles;
     }
-    let mut r = Runner::new(scale);
-    r.verbose = true;
-    knobs.apply(&mut r);
     let frontier = fairness_frontier(&mut r);
     println!("{}", frontier.to_table());
     let export = frontier.to_export();
@@ -649,11 +640,10 @@ fn fairness_main(args: Vec<String>, mut scale: Scale, knobs: EngineKnobs) -> ! {
             frontier.bundles.len()
         ),
     );
-    eprintln!("{} distinct simulations executed", r.runs_executed());
-    std::process::exit(0);
+    finish(&r, false);
 }
 
-fn hetero_main(args: Vec<String>, scale: Scale, knobs: EngineKnobs) -> ! {
+fn hetero_main(args: Vec<String>, mut r: Runner) -> ! {
     let mut mixes: Vec<(String, AgentMix)> = Vec::new();
     let mut export_flags = ExportFlags::default();
     let mut it = args.into_iter();
@@ -677,9 +667,6 @@ fn hetero_main(args: Vec<String>, scale: Scale, knobs: EngineKnobs) -> ! {
             })
             .collect();
     }
-    let mut r = Runner::new(scale);
-    r.verbose = true;
-    knobs.apply(&mut r);
     let study = hetero_study(&mut r, &mixes);
     println!("{}", study.to_table());
     let export = study.to_export();
@@ -691,20 +678,7 @@ fn hetero_main(args: Vec<String>, scale: Scale, knobs: EngineKnobs) -> ! {
             study.mixes.len()
         ),
     );
-    eprintln!("{} distinct simulations executed", r.runs_executed());
-    if r.has_failures() {
-        for f in r.failures() {
-            eprintln!("{}: {}", f.key, f.error);
-        }
-        let code = r
-            .failures()
-            .iter()
-            .map(|f| f.error.exit_code())
-            .max()
-            .unwrap_or(1);
-        std::process::exit(code);
-    }
-    std::process::exit(0);
+    finish(&r, false);
 }
 
 /// `repro audit [campaign | inject <spec>]`: certification by
@@ -766,10 +740,11 @@ fn audit_main(args: Vec<String>) -> ! {
 
 fn main() {
     let mut args = std::env::args().skip(1).peekable();
-    let mut scale = Scale::standard();
-    let mut jobs = critmem::pool::default_jobs();
-    let mut skip_ahead = true;
-    let mut audit = false;
+    // One runner per invocation: the engine flags are set on it here
+    // and every subcommand runs its cells on it.
+    let mut r = Runner::new(Scale::standard());
+    r.verbose = true;
+    r.jobs = critmem::pool::default_jobs();
     let mut journal_path: Option<String> = None;
     let mut resume = false;
     let mut warm_cycles: Option<u64> = None;
@@ -781,17 +756,17 @@ fn main() {
                 _ => usage(),
             },
             "--scale" => match args.next().as_deref() {
-                Some("quick") => scale = Scale::quick(),
-                Some("standard") => scale = Scale::standard(),
-                Some("full") => scale = Scale::full(),
+                Some("quick") => r.scale = Scale::quick(),
+                Some("standard") => r.scale = Scale::standard(),
+                Some("full") => r.scale = Scale::full(),
                 _ => usage(),
             },
             "--jobs" => match args.next().and_then(|s| s.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => jobs = n,
+                Some(n) if n >= 1 => r.jobs = n,
                 _ => usage(),
             },
-            "--no-skip-ahead" => skip_ahead = false,
-            "--audit" => audit = true,
+            "--no-skip-ahead" => r.skip_ahead = false,
+            "--audit" => r.audit = true,
             "--journal" => match args.next() {
                 Some(f) => journal_path = Some(f),
                 None => usage(),
@@ -805,14 +780,9 @@ fn main() {
         eprintln!("--resume requires --journal <file>");
         std::process::exit(2);
     }
-    let knobs = EngineKnobs {
-        jobs,
-        skip_ahead,
-        audit,
-    };
-    let subcommand: Option<fn(Vec<String>, Scale, EngineKnobs) -> !> =
+    let subcommand: Option<fn(Vec<String>, Runner) -> !> =
         match selected.first().map(String::as_str) {
-            Some("audit") => Some(|args, _, _| audit_main(args)),
+            Some("audit") => Some(|args, _| audit_main(args)),
             Some("trace") => Some(trace_main),
             Some("stats") => Some(stats_main),
             Some("checkpoint") => Some(checkpoint_main),
@@ -829,7 +799,7 @@ fn main() {
             );
             std::process::exit(2);
         }
-        main(selected.split_off(1), scale, knobs);
+        main(selected.split_off(1), r);
     }
     if let Some(bad) = selected.iter().find(|s| !EXPERIMENTS.contains(&s.as_str())) {
         eprintln!("unknown experiment or option: {bad}");
@@ -843,9 +813,6 @@ fn main() {
     // cache-line cell starves a write past the watchdog's age limit.
     let want = |name: &str| (all && name != "ablate") || selected.iter().any(|s| s == name);
 
-    let mut r = Runner::new(scale);
-    r.verbose = true;
-    knobs.apply(&mut r);
     r.warm_cycles = warm_cycles;
     if let Some(path) = &journal_path {
         let path = std::path::Path::new(path);
@@ -944,23 +911,5 @@ fn main() {
         println!("{}", sweep.to_table());
         println!("{}", sweep.timing_summary());
     }
-    eprintln!("\n{} distinct simulations executed", r.runs_executed());
-    if r.has_failures() {
-        println!("\n=== Failed cells ===");
-        for f in r.failures() {
-            println!("{}: {}", f.key, f.error);
-        }
-        println!(
-            "{} cell(s) failed; the affected table rows hold placeholder values. \
-             Re-run with --journal <file> --resume to retry only the missing cells.",
-            r.failures().len()
-        );
-        let code = r
-            .failures()
-            .iter()
-            .map(|f| f.error.exit_code())
-            .max()
-            .unwrap_or(1);
-        std::process::exit(code);
-    }
+    finish(&r, true);
 }

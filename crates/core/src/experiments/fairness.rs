@@ -7,9 +7,9 @@
 //! criticality-first CASRAS-Crit, the fairness-oriented PAR-BS / TCM /
 //! ATLAS / BLISS designs, and the [`critmem_sched::MetaSwitch`]
 //! meta-scheduler that flips between a criticality mode and BLISS at
-//! runtime. Alone-IPC denominators reuse the Figure 12 definition (one
-//! core on the PAR-BS baseline platform), so `repro fairness` and
-//! `repro fig12` agree on normalization.
+//! runtime. Alone-IPC denominators come from `alone_ipc`, the one
+//! function Figure 12 also calls, so `repro fairness` and `repro fig12`
+//! agree on normalization.
 //!
 //! Results export through [`SeriesExport`] (DESIGN.md §6e): one run
 //! per scheduler, one sample row per bundle (the `cycle` column holds
@@ -17,7 +17,7 @@
 //! from label-sorted runs, so it is byte-identical for any `--jobs`
 //! value.
 
-use crate::config::{AgentMix, PredictorKind, SystemConfig};
+use crate::config::{AgentMix, PredictorKind};
 use crate::experiments::harness::{Runner, TextTable};
 use crate::metrics::{harmonic_speedup, max_slowdown, mean, weighted_speedup};
 use critmem_common::obs::{MetricVisitor, Sampler, Schema, SeriesExport};
@@ -143,24 +143,12 @@ impl FairnessFrontier {
     }
 }
 
-/// The Figure 12 multiprogrammed platform (4 cores, 2 channels) with
-/// this runner's engine knobs applied.
-fn multiprog_cfg(r: &Runner) -> SystemConfig {
-    let mut cfg = SystemConfig::multiprogrammed_baseline(r.scale.instructions);
-    cfg.max_cycles = r
-        .scale
-        .instructions
-        .saturating_mul(40_000)
-        .max(1_000_000_000);
-    cfg.skip_ahead = r.skip_ahead;
-    cfg
-}
-
-/// Alone-IPC denominator, shared (memoized) with Figure 12 and the
-/// heterogeneous-mix study: the app on one core of the PAR-BS baseline
-/// platform.
+/// Alone-IPC denominator of Figure 12, the frontier and the
+/// heterogeneous-mix study, memoized once per app for all three: the
+/// app on one core of the PAR-BS baseline platform with 32 L2 MSHRs
+/// (the paper's normalization denominator).
 pub(crate) fn alone_ipc(r: &mut Runner, app: &'static str) -> f64 {
-    let mut cfg = multiprog_cfg(r);
+    let mut cfg = r.multiprog_cfg();
     cfg.cores = 1;
     cfg.hierarchy = critmem_cache::HierarchyConfig::paper_baseline(1);
     cfg.hierarchy.l2_mshrs = 32;
@@ -188,7 +176,8 @@ pub fn fairness_frontier(runner: &mut Runner) -> FairnessFrontier {
             let b = bundle(bname).expect("bundle exists");
             let alone: Vec<f64> = b.apps.iter().map(|&a| alone_ipc(r, a)).collect();
             for (si, (label, sched, pred)) in zoo.iter().enumerate() {
-                let cfg = multiprog_cfg(r)
+                let cfg = r
+                    .multiprog_cfg()
                     .with_scheduler(*sched)
                     .with_predictor(*pred);
                 let stats = r.run_keyed(

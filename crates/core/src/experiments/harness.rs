@@ -582,17 +582,33 @@ impl Runner {
         Arc::clone(&self.replay_cache[&key])
     }
 
-    /// Base configuration for a parallel run at this scale.
-    pub fn parallel_cfg(&self) -> SystemConfig {
-        let mut cfg = SystemConfig::paper_baseline(self.scale.instructions);
+    /// `cfg` with this runner's engine knobs (skip-ahead, audit) and a
+    /// cycle budget of `budget` cycles per instruction at this scale,
+    /// at least 1e9. Every platform the runner builds comes through
+    /// here, so no cell can miss a knob.
+    fn with_knobs(&self, mut cfg: SystemConfig, budget: u64) -> SystemConfig {
         cfg.max_cycles = self
             .scale
             .instructions
-            .saturating_mul(20_000)
+            .saturating_mul(budget)
             .max(1_000_000_000);
         cfg.skip_ahead = self.skip_ahead;
         cfg.audit = self.audit;
         cfg
+    }
+
+    /// Base configuration for a parallel run at this scale.
+    pub fn parallel_cfg(&self) -> SystemConfig {
+        let cfg = SystemConfig::paper_baseline(self.scale.instructions);
+        self.with_knobs(cfg, 20_000)
+    }
+
+    /// Base configuration for a multiprogrammed run at this scale: the
+    /// Figure 12 platform (4 cores, 2 channels, PAR-BS baseline), which
+    /// the fairness frontier and the hetero study share.
+    pub fn multiprog_cfg(&self) -> SystemConfig {
+        let cfg = SystemConfig::multiprogrammed_baseline(self.scale.instructions);
+        self.with_knobs(cfg, 40_000)
     }
 
     /// Runs a parallel app under `(scheduler, predictor)` with an
@@ -781,6 +797,64 @@ mod tests {
             a.completed, c.completed,
             "same trace, every request serviced"
         );
+    }
+
+    /// `--audit` and `--no-skip-ahead` reach every cell the runner
+    /// builds: the multiprogrammed studies' alone, bundle and mix runs,
+    /// their shared warmups, and captures.
+    #[test]
+    fn engine_knobs_reach_every_planned_cell() {
+        let mut r = Runner::new(Scale {
+            instructions: 300,
+            apps: vec![],
+            sweep_apps: vec![],
+            bundles: vec!["AELV"],
+        });
+        r.jobs = 2;
+        r.audit = true;
+        r.skip_ahead = false;
+        r.warm_cycles = Some(1_000);
+        let mix: AgentMix = "ooo:mcf+stream+bulk".parse().expect("grammar");
+        // A planning pass records every cell without running it.
+        r.planning = Some(Vec::new());
+        crate::experiments::fig12(&mut r);
+        crate::experiments::fairness_frontier(&mut r);
+        crate::experiments::hetero_study(&mut r, &[(mix.to_string(), mix)]);
+        r.capture("swim");
+        let plan = r.planning.take().expect("planning state");
+        let mut cells = Vec::new();
+        for job in &plan {
+            match &job.work {
+                Work::Run { cfg, workload } => {
+                    cells.push((job.key.clone(), cfg.audit, cfg.skip_ahead));
+                    let warmup = r.warmup(cfg, workload).expect("warm starts are on");
+                    if let Work::Warmup { cfg, .. } = &warmup.work {
+                        cells.push((warmup.key, cfg.audit, cfg.skip_ahead));
+                    }
+                }
+                Work::Capture { cfg, .. } => {
+                    cells.push((job.key.clone(), cfg.audit, cfg.skip_ahead));
+                }
+                Work::Warmup { .. } | Work::Replay { .. } => {}
+            }
+        }
+        for prefix in [
+            "alone|",
+            "bundle|",
+            "hetero|",
+            "heteroalone|",
+            "warmup:",
+            "swim|",
+        ] {
+            assert!(
+                cells.iter().any(|(k, ..)| k.starts_with(prefix)),
+                "no {prefix} cell planned"
+            );
+        }
+        for (key, audit, skip_ahead) in &cells {
+            assert!(*audit, "{key} runs without auditors");
+            assert!(!*skip_ahead, "{key} runs with skip-ahead");
+        }
     }
 
     #[test]

@@ -138,17 +138,10 @@ impl HeteroStudy {
 /// so the starved-request watchdog gets a much looser leash than the
 /// core-only default.
 fn hetero_cfg(r: &Runner, cores: usize) -> SystemConfig {
-    let mut cfg = SystemConfig::multiprogrammed_baseline(r.scale.instructions);
+    let mut cfg = r.multiprog_cfg();
     cfg.cores = cores;
     cfg.hierarchy = critmem_cache::HierarchyConfig::paper_baseline(cores);
-    cfg.max_cycles = r
-        .scale
-        .instructions
-        .saturating_mul(40_000)
-        .max(1_000_000_000);
     cfg.watchdog.max_request_age = 2_000_000;
-    cfg.skip_ahead = r.skip_ahead;
-    cfg.audit = r.audit;
     cfg
 }
 

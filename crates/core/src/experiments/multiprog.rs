@@ -2,7 +2,8 @@
 //! (§5.8.2) — plus the maximum-slowdown fairness comparison against
 //! TCM.
 
-use crate::config::{AgentMix, PredictorKind, SystemConfig};
+use crate::config::{AgentMix, PredictorKind};
+use crate::experiments::fairness::alone_ipc;
 use crate::experiments::harness::{Runner, TextTable};
 use crate::metrics::{max_slowdown, mean, weighted_speedup};
 use critmem_predict::CbpMetric;
@@ -93,29 +94,6 @@ impl Fig12 {
     }
 }
 
-fn multiprog_cfg(r: &Runner) -> SystemConfig {
-    let mut cfg = SystemConfig::multiprogrammed_baseline(r.scale.instructions);
-    cfg.max_cycles = r
-        .scale
-        .instructions
-        .saturating_mul(40_000)
-        .max(1_000_000_000);
-    cfg.skip_ahead = r.skip_ahead;
-    cfg
-}
-
-/// IPC of `app` running alone on the PAR-BS baseline configuration
-/// (single core, two channels, halved MSHRs) — the paper's
-/// normalization denominator.
-fn alone_ipc(r: &mut Runner, app: &'static str) -> f64 {
-    let mut cfg = multiprog_cfg(r);
-    cfg.cores = 1;
-    cfg.hierarchy = critmem_cache::HierarchyConfig::paper_baseline(1);
-    cfg.hierarchy.l2_mshrs = 32;
-    let stats = r.run_keyed(format!("alone|{app}"), cfg, &AgentMix::Alone(app));
-    stats.ipc(0)
-}
-
 fn bundle_run(
     r: &mut Runner,
     name: &'static str,
@@ -123,7 +101,7 @@ fn bundle_run(
     sched: SchedulerKind,
     pred: PredictorKind,
 ) -> Arc<crate::system::RunStats> {
-    let cfg = multiprog_cfg(r).with_scheduler(sched).with_predictor(pred);
+    let cfg = r.multiprog_cfg().with_scheduler(sched).with_predictor(pred);
     r.run_keyed(
         format!("bundle|{name}|{label}"),
         cfg,
@@ -143,14 +121,7 @@ pub fn fig12(r: &mut Runner) -> Fig12 {
     let mut ms_crit = Vec::new();
     for &bname in &bundles {
         let b = bundle(bname).expect("bundle exists");
-        let alone: Vec<f64> = b
-            .apps
-            .iter()
-            .map(|&a| {
-                // Leak-free static str: bundle apps are 'static already.
-                alone_ipc(r, a)
-            })
-            .collect();
+        let alone: Vec<f64> = b.apps.iter().map(|&a| alone_ipc(r, a)).collect();
         // PAR-BS reference.
         let parbs = bundle_run(
             r,

@@ -271,20 +271,6 @@ impl Fig6 {
         t.row("Average", avg.iter().map(|v| format!("{v:.0}")).collect());
         t
     }
-
-    /// Average latencies `[crit, non]` for the MaxStallTime scheduler.
-    pub fn maxstall_avgs(&self) -> (f64, f64) {
-        let crit = mean(&self.rows.iter().map(|r| r.1[4]).collect::<Vec<_>>());
-        let non = mean(&self.rows.iter().map(|r| r.1[5]).collect::<Vec<_>>());
-        (crit, non)
-    }
-
-    /// Average latencies `[crit, non]` for the FR-FCFS baseline.
-    pub fn frfcfs_avgs(&self) -> (f64, f64) {
-        let crit = mean(&self.rows.iter().map(|r| r.1[0]).collect::<Vec<_>>());
-        let non = mean(&self.rows.iter().map(|r| r.1[1]).collect::<Vec<_>>());
-        (crit, non)
-    }
 }
 
 /// Runs Figure 6. The FR-FCFS column attaches a MaxStallTime predictor

@@ -290,16 +290,9 @@ impl ChannelTiming {
         }
     }
 
-    /// Marks refreshes that have fallen due by `now`; returns the ranks
-    /// (if any) with a pending refresh.
-    pub fn update_refresh(&mut self, now: DramCycle) -> Vec<RankId> {
-        let mut due = Vec::new();
-        self.update_refresh_into(now, &mut due);
-        due
-    }
-
-    /// Allocation-free variant of [`Self::update_refresh`]: appends the
-    /// pending ranks to `due` (which the caller clears and reuses).
+    /// Marks refreshes that have fallen due by `now` and appends the
+    /// ranks (if any) with a pending refresh to `due` (which the caller
+    /// clears and reuses).
     pub fn update_refresh_into(&mut self, now: DramCycle, due: &mut Vec<RankId>) {
         for (r, (&d, pending)) in self
             .refresh_due
@@ -318,7 +311,7 @@ impl ChannelTiming {
 
     /// Earliest cycle at which any rank's next refresh falls due. While
     /// `now` is strictly below this (and no refresh is already
-    /// pending), [`Self::update_refresh`] is a guaranteed no-op — the
+    /// pending), [`Self::update_refresh_into`] is a guaranteed no-op — the
     /// controller's idle fast path uses this to skip the scan.
     pub fn earliest_refresh_due(&self) -> DramCycle {
         self.refresh_due.iter().copied().min().unwrap_or(u64::MAX)
@@ -631,14 +624,18 @@ mod tests {
     #[test]
     fn refresh_becomes_pending_at_trefi() {
         let mut ct = ChannelTiming::new(1, 8, timing());
-        assert!(ct.update_refresh(timing().t_refi - 1).is_empty());
-        let due = ct.update_refresh(timing().t_refi);
+        let mut due = Vec::new();
+        ct.update_refresh_into(timing().t_refi - 1, &mut due);
+        assert!(due.is_empty());
+        ct.update_refresh_into(timing().t_refi, &mut due);
         assert_eq!(due, vec![RankId(0)]);
         assert!(ct.refresh_pending(RankId(0)));
         // Issuing the refresh clears the pending flag and re-arms.
         ct.issue(&cmd(CommandKind::Refresh, 0, 0, 0), timing().t_refi);
         assert!(!ct.refresh_pending(RankId(0)));
-        assert!(ct.update_refresh(timing().t_refi + 10).is_empty());
+        due.clear();
+        ct.update_refresh_into(timing().t_refi + 10, &mut due);
+        assert!(due.is_empty());
     }
 
     #[test]

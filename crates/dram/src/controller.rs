@@ -745,7 +745,9 @@ impl ChannelController {
         if !self.queue.is_empty() {
             horizon = horizon.min(self.no_cand_until.max(nxt));
         }
-        if self.direction_would_change() {
+        // Both fields are checkpointed state, so a skipped cycle must
+        // not be one on which they would change.
+        if self.next_direction() != (self.direction, self.draining) {
             horizon = horizon.min(nxt);
         }
         horizon = horizon.min(
@@ -756,23 +758,26 @@ impl ChannelController {
         horizon.max(nxt)
     }
 
-    /// Whether the next [`Self::tick_into`]'s `update_direction` would
-    /// flip the service direction or the draining flag. Non-mutating
-    /// replica of `update_direction`'s transition conditions; both
-    /// fields are checkpointed state, so a skipped cycle must not
-    /// change them.
-    fn direction_would_change(&self) -> bool {
+    /// The `(direction, draining)` pair the next [`Self::tick_into`]'s
+    /// `update_direction` will set: the one home of the read/write
+    /// turnaround rule. Reads turn to writes at the high watermark
+    /// (a drain) or when no read is queued; writes turn back when none
+    /// is left, when a drain reaches the low watermark, or when a
+    /// non-drain visit meets a read.
+    fn next_direction(&self) -> (Direction, bool) {
         let writes = self.queued_writes;
         let reads = self.queue.len() - writes;
         match self.direction {
-            Direction::Read => {
-                writes >= self.cfg.write_high_watermark || (reads == 0 && writes > 0)
-            }
-            Direction::Write => {
-                writes == 0
+            Direction::Read if writes >= self.cfg.write_high_watermark => (Direction::Write, true),
+            Direction::Read if reads == 0 && writes > 0 => (Direction::Write, false),
+            Direction::Write
+                if writes == 0
                     || (self.draining && writes <= self.cfg.write_low_watermark)
-                    || (!self.draining && reads > 0)
+                    || (!self.draining && reads > 0) =>
+            {
+                (Direction::Read, false)
             }
+            _ => (self.direction, self.draining),
         }
     }
 
@@ -809,29 +814,8 @@ impl ChannelController {
                 .count(),
             "incremental critical-read count out of sync"
         );
-        let writes = self.queued_writes;
-        let reads = self.queue.len() - writes;
         let before = self.direction;
-        match self.direction {
-            Direction::Read => {
-                if writes >= self.cfg.write_high_watermark {
-                    self.direction = Direction::Write;
-                    self.draining = true;
-                } else if reads == 0 && writes > 0 {
-                    self.direction = Direction::Write;
-                    self.draining = false;
-                }
-            }
-            Direction::Write => {
-                if writes == 0
-                    || (self.draining && writes <= self.cfg.write_low_watermark)
-                    || (!self.draining && reads > 0)
-                {
-                    self.direction = Direction::Read;
-                    self.draining = false;
-                }
-            }
-        }
+        (self.direction, self.draining) = self.next_direction();
         if self.direction != before {
             self.no_cand_until = 0;
         }

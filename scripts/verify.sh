@@ -184,6 +184,10 @@ grep -q '"type":"export"' "$tmp/fair.serial"
 diff "$tmp/fair.serial" "$tmp/fair.jobs2"
 ./target/release/repro --scale quick --jobs 1 --no-skip-ahead fairness AELV > "$tmp/fair.noskip" 2>/dev/null
 diff "$tmp/fair.serial" "$tmp/fair.noskip"
+# --audit reaches the multiprogrammed cells (alone and bundle runs) too:
+# the audited frontier must be silent and byte-identical.
+./target/release/repro --scale quick --jobs 1 --audit fairness AELV > "$tmp/fair.audit" 2>/dev/null
+diff "$tmp/fair.serial" "$tmp/fair.audit"
 
 echo "== hetero mix smoke test (table + export, deterministic)"
 # A small heterogeneous mix through the scheduler zoo: the table and
@@ -253,6 +257,31 @@ for jobs in 4 1; do
   cmp "$tmp/sweep.clean" "$tmp/sweep.resumed$jobs"
 done
 cmp "$tmp/sweep.faulted4" "$tmp/sweep.faulted1"
+# Every other subcommand that runs cells reports a failed one the same
+# way: exit 1 (a cell panic's class code) and the failure report on
+# stdout, never placeholder values under exit 0.
+expect_failed_cell() {
+  local key=$1 rc=0
+  shift
+  CRITMEM_FAULT_PANIC_KEY="$key" "$faulty" --scale quick "$@" \
+    > "$tmp/cell.out" 2> "$tmp/cell.err" || rc=$?
+  if [ "$rc" -ne 1 ] || ! grep -qx '=== Failed cells ===' "$tmp/cell.out"; then
+    echo "fault-injection smoke: '$*' with cell '$key' failing exited $rc," \
+      "expected 1 with a failure report:" >&2
+    cat "$tmp/cell.out" "$tmp/cell.err" >&2
+    exit 1
+  fi
+}
+expect_failed_cell 'swim|MaxStallTime' trace capture swim "$tmp/faulted.cmtr"
+if [ -e "$tmp/faulted.cmtr" ]; then
+  echo "fault-injection smoke: a failed trace capture still wrote its file" >&2
+  exit 1
+fi
+expect_failed_cell 'swim|CASRAS-Crit|replay' trace sweep swim
+expect_failed_cell 'sampled:' stats swim --epoch 20000
+expect_failed_cell 'bundle|AELV|BLISS' fairness AELV
+expect_failed_cell 'swim|Crit-CASRAS' checkpoint sweep swim
+expect_failed_cell 'hetero|ooo:mcf+stream|BLISS' hetero 'ooo:mcf+stream'
 # Rebuild without the feature so later runs use the production binary.
 cargo build --release -q
 
