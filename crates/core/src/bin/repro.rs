@@ -98,12 +98,13 @@ fn usage() -> ! {
          --journal <file>: record completed figure-sweep cells for crash recovery\n\
          --resume: reload a journal's completed cells, re-running only the missing ones\n\
          --warm-cycles N: share one baseline warmup checkpoint (snapshotted at cycle N)\n\
-         \x20                across every non-sampling sweep cell\n\
+         \x20                across every non-sampling figure-sweep cell\n\
          exit codes: 0 ok, 2 configuration error, 3 watchdog (livelocked run),\n\
          \x20           4 audit violation, 1 other failure; a figure sweep, trace capture,\n\
          \x20           trace sweep, stats, fairness, hetero or checkpoint sweep with a\n\
          \x20           failed cell prints === Failed cells === and exits with the highest\n\
-         \x20           code among them (trace capture then writes no file)",
+         \x20           code among them (trace capture then writes no file, and stats,\n\
+         \x20           fairness and hetero write no --out file)",
         EXPERIMENTS.join(" ")
     );
     std::process::exit(2);
@@ -541,14 +542,18 @@ impl ExportFlags {
     }
 
     /// Writes `export` to the `--out` file, reporting `summary` on
-    /// stderr, or prints it to stdout when no file was given.
-    fn emit(&self, export: &SeriesExport, summary: &str) {
+    /// stderr, or prints it to stdout when no file was given. A failed
+    /// cell leaves placeholders in `export`, so then no file is written.
+    fn emit(&self, r: &Runner, export: &SeriesExport, summary: &str) {
         let text = if self.csv {
             export.to_csv()
         } else {
             export.to_jsonl()
         };
         match &self.out {
+            Some(file) if r.has_failures() => {
+                eprintln!("not writing {file}: a cell failed");
+            }
             Some(file) => {
                 std::fs::write(file, &text).unwrap_or_else(|e| {
                     eprintln!("cannot write {file}: {e}");
@@ -592,6 +597,7 @@ fn stats_main(args: Vec<String>, mut r: Runner) -> ! {
     let export = stats_export(&mut r, &apps, sched, pred, epoch);
     let samples: usize = export.runs.iter().map(|r| r.series.len()).sum();
     export_flags.emit(
+        &r,
         &export,
         &format!(
             "{} runs, {samples} samples, {} metrics/sample",
@@ -633,6 +639,7 @@ fn fairness_main(args: Vec<String>, mut r: Runner) -> ! {
     println!("{}", frontier.to_table());
     let export = frontier.to_export();
     export_flags.emit(
+        &r,
         &export,
         &format!(
             "{} schedulers x {} bundles",
@@ -671,6 +678,7 @@ fn hetero_main(args: Vec<String>, mut r: Runner) -> ! {
     println!("{}", study.to_table());
     let export = study.to_export();
     export_flags.emit(
+        &r,
         &export,
         &format!(
             "{} schedulers x {} mixes",
@@ -791,10 +799,18 @@ fn main() {
             _ => None,
         };
     if let Some(main) = subcommand {
-        // Only the figure sweep below journals its cells.
+        // Only the figure sweep below journals its cells and shares a
+        // warmup across them.
         if journal_path.is_some() {
             eprintln!(
                 "repro {}: --journal and --resume apply to figure sweeps only",
+                selected[0]
+            );
+            std::process::exit(2);
+        }
+        if warm_cycles.is_some() {
+            eprintln!(
+                "repro {}: --warm-cycles applies to figure sweeps only",
                 selected[0]
             );
             std::process::exit(2);

@@ -3,11 +3,11 @@
 //! Implements the Table 1 microarchitecture at the fidelity the paper's
 //! mechanism depends on: a 128-entry ROB with in-order 4-wide commit,
 //! a 32-entry load queue whose occupancy gates dispatch (Figure 9),
-//! dependence-driven out-of-order issue over a bounded window with
-//! per-class functional-unit ports, branch-misprediction redirect
-//! stalls, a post-commit store buffer, and — centrally — the commit
-//! stage's ROB-head block detection that trains the Commit Block
-//! Predictor (Figure 2 of the paper).
+//! dependence-driven out-of-order issue (operand wakeup feeding a ready
+//! list) over a bounded window with per-class functional-unit ports,
+//! branch-misprediction redirect stalls, a post-commit store buffer,
+//! and — centrally — the commit stage's ROB-head block detection that
+//! trains the Commit Block Predictor (Figure 2 of the paper).
 //!
 //! Deliberate simplifications (recorded in DESIGN.md): no wrong-path
 //! execution (a mispredicted branch stalls the front end for the
@@ -194,6 +194,53 @@ struct RobEntry {
     consumers: u32,
     block_start: Option<CpuCycle>,
     block_reported: bool,
+    /// Source operands still waiting on an incomplete producer; an
+    /// unissued entry is dependence-ready at 0.
+    pending: u8,
+    /// Head of the list of operands waiting on this entry's result.
+    waiters: Waiter,
+    /// `next[op]` continues the waiter list that source `op` is on.
+    next: [Waiter; 2],
+}
+
+impl RobEntry {
+    fn new(instr: Instr, seq: u64) -> Self {
+        RobEntry {
+            instr,
+            seq,
+            issued: false,
+            completed: false,
+            waiting_mem: false,
+            consumers: 0,
+            block_start: None,
+            block_reported: false,
+            pending: 0,
+            waiters: Waiter::NONE,
+            next: [Waiter::NONE; 2],
+        }
+    }
+}
+
+/// A link of an operand waiter list: source operand `op` of the ROB
+/// entry `seq`, packed as `seq << 1 | op`. The links live in the ROB
+/// entries, so the lists need no buffer of their own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Waiter(u64);
+
+impl Waiter {
+    const NONE: Waiter = Waiter(u64::MAX);
+
+    fn new(seq: u64, op: usize) -> Self {
+        Waiter(seq << 1 | op as u64)
+    }
+
+    fn seq(self) -> u64 {
+        self.0 >> 1
+    }
+
+    fn op(self) -> usize {
+        (self.0 & 1) as usize
+    }
 }
 
 /// What the last step's memory accesses bounced off a full MSHR file
@@ -226,6 +273,10 @@ pub struct Core {
     /// issue queue that `issue` and `horizon` walk. Derived from the
     /// ROB, so never serialized.
     unissued: Vec<u64>,
+    /// The dependence-ready subset of `unissued`, oldest first: what
+    /// `issue` and `horizon` walk. Entries join when their last
+    /// producer completes and leave when they issue. Derived state too.
+    ready: Vec<u64>,
     base_seq: u64,
     next_seq: u64,
     lq_used: usize,
@@ -280,6 +331,7 @@ impl Core {
             cfg,
             rob: VecDeque::with_capacity(cfg.rob_entries),
             unissued: Vec::with_capacity(cfg.rob_entries),
+            ready: Vec::with_capacity(cfg.rob_entries),
             base_seq: 0,
             next_seq: 0,
             lq_used: 0,
@@ -395,15 +447,100 @@ impl Core {
     }
 
     /// Whether `unissued` lists exactly the ROB's unissued entries, in
-    /// order. Linear and allocation-free, because debug builds run it
-    /// on every `issue`.
+    /// order; each holds the pending count a [`Core::dep_ready`]
+    /// recount gives; `ready` lists exactly those at zero, in order;
+    /// and the waiter lists link every pending operand to its
+    /// producer. Linear and allocation-free, because debug builds run
+    /// it on every `issue`.
     fn unissued_matches_rob(&self) -> bool {
-        self.unissued.windows(2).all(|p| p[0] < p[1])
-            && self
-                .unissued
-                .iter()
-                .all(|&seq| self.entry(seq).is_some_and(|e| !e.issued))
+        let mut ready = self.ready.iter().peekable();
+        let lists_match = self.unissued.windows(2).all(|p| p[0] < p[1])
             && self.rob.iter().filter(|e| !e.issued).count() == self.unissued.len()
+            && self.unissued.iter().all(|&seq| {
+                let Some(e) = self.entry(seq) else {
+                    return false;
+                };
+                let waits = [e.instr.src1, e.instr.src2]
+                    .into_iter()
+                    .filter(|&d| !self.dep_ready(seq, d))
+                    .count();
+                let listed = ready.next_if_eq(&&seq).is_some();
+                !e.issued && usize::from(e.pending) == waits && listed == (waits == 0)
+            })
+            && ready.next().is_none();
+        // Walk every waiter list, at most as many links as there are
+        // pending operands (a cycle would run past that).
+        let pending: usize = self.rob.iter().map(|e| usize::from(e.pending)).sum();
+        let mut links = 0;
+        lists_match
+            && self.rob.iter().all(|p| {
+                let mut w = p.waiters;
+                while w != Waiter::NONE && links <= pending {
+                    links += 1;
+                    let Some(e) = self.entry(w.seq()) else {
+                        return false;
+                    };
+                    let dist = [e.instr.src1, e.instr.src2][w.op()];
+                    if dist.map(|d| w.seq() - u64::from(d)) != Some(p.seq) {
+                        return false;
+                    }
+                    w = e.next[w.op()];
+                }
+                true
+            })
+            && links == pending
+    }
+
+    /// Links `seq`'s source operands onto the waiter lists of the
+    /// producers they wait on, and lists it ready if they wait on none.
+    /// `seq` must be younger than every entry in `ready`.
+    fn link_operands(&mut self, seq: u64) {
+        let slot = self.slot(seq);
+        let instr = self.rob[slot].instr;
+        let mut pending = 0;
+        for (op, dist) in [instr.src1, instr.src2].into_iter().enumerate() {
+            if self.dep_ready(seq, dist) {
+                continue;
+            }
+            // Not ready, so `dist` is set and its producer in the ROB
+            // (a distance of 0 makes the entry its own producer).
+            let producer = self.slot(seq - u64::from(dist.unwrap_or(0)));
+            let head = std::mem::replace(&mut self.rob[producer].waiters, Waiter::new(seq, op));
+            self.rob[slot].next[op] = head;
+            pending += 1;
+        }
+        self.rob[slot].pending = pending;
+        if pending == 0 {
+            self.ready.push(seq);
+        }
+    }
+
+    /// Wakes the operands waiting on `seq`, which has just completed:
+    /// each entry left with none pending joins `ready` in order.
+    fn wake_waiters(&mut self, seq: u64) {
+        let slot = self.slot(seq);
+        let mut w = std::mem::replace(&mut self.rob[slot].waiters, Waiter::NONE);
+        while w != Waiter::NONE {
+            let waiter = w.seq();
+            let slot = self.slot(waiter);
+            let e = &mut self.rob[slot];
+            w = e.next[w.op()];
+            e.pending -= 1;
+            if e.pending == 0 {
+                let at = self.ready.partition_point(|&s| s < waiter);
+                self.ready.insert(at, waiter);
+            }
+        }
+    }
+
+    /// The youngest sequence number inside the issue window: the
+    /// `issue_window`-th unissued entry, or `u64::MAX` when fewer are
+    /// unissued. Entries that are not ready count against the window.
+    fn window_end(&self) -> u64 {
+        self.unissued
+            .get(self.cfg.issue_window - 1)
+            .copied()
+            .unwrap_or(u64::MAX)
     }
 
     fn dep_ready(&self, seq: u64, dist: Option<u16>) -> bool {
@@ -437,8 +574,9 @@ impl Core {
     /// * **store buffer** — a `Waiting` entry retries the hierarchy
     ///   every cycle, unless the last drain bounced off this core's
     ///   full L1 MSHR file.
-    /// * **issue** — any dependence-ready unissued entry inside the
-    ///   issue window reaches a functional unit or probes the cache,
+    /// * **issue** — any entry of the ready list inside the issue
+    ///   window (its dependence-ready unissued entries no younger than
+    ///   the window's last) reaches a functional unit or probes the cache,
     ///   except the ready loads the last step bounced off the L1 MSHR
     ///   file (and, when they took every load unit, the ready loads
     ///   behind them, which find none): a retried bounce changes
@@ -504,15 +642,13 @@ impl Core {
         } else {
             quiet.loads
         };
-        for &seq in self.unissued.iter().take(self.cfg.issue_window) {
-            let e = &self.rob[self.slot(seq)];
-            if self.dep_ready(seq, e.instr.src1) && self.dep_ready(seq, e.instr.src2) {
-                if quiet_loads > 0 && e.instr.kind.is_load() {
-                    quiet_loads -= 1;
-                    continue;
-                }
-                return nxt;
+        let end = self.window_end();
+        for &seq in self.ready.iter().take_while(|&&s| s <= end) {
+            if quiet_loads > 0 && self.rob[self.slot(seq)].instr.kind.is_load() {
+                quiet_loads -= 1;
+                continue;
             }
+            return nxt;
         }
         let mut horizon = CpuCycle::MAX;
         if nxt < self.fetch_stall_until {
@@ -624,6 +760,7 @@ impl Core {
                 } else if let Some(e) = self.entry_mut(seq) {
                     e.completed = true;
                     e.waiting_mem = false;
+                    self.wake_waiters(seq);
                 }
             }
         }
@@ -635,23 +772,18 @@ impl Core {
                 break;
             }
             self.completions.pop();
-            let penalty = self.cfg.mispredict_penalty;
-            let mut redirect = None;
-            if let Some(e) = self.entry_mut(seq) {
-                e.completed = true;
-                if let InstrKind::Branch { mispredict } = e.instr.kind {
-                    if mispredict {
-                        redirect = Some(at + penalty);
-                    }
+            let Some(e) = self.entry_mut(seq) else {
+                continue;
+            };
+            e.completed = true;
+            let kind = e.instr.kind;
+            self.wake_waiters(seq);
+            if let InstrKind::Branch { mispredict } = kind {
+                self.unresolved_branches = self.unresolved_branches.saturating_sub(1);
+                if mispredict {
+                    let until = at + self.cfg.mispredict_penalty;
+                    self.fetch_stall_until = self.fetch_stall_until.max(until);
                 }
-            }
-            if let Some(e) = self.entry(seq) {
-                if e.instr.kind.is_branch() {
-                    self.unresolved_branches = self.unresolved_branches.saturating_sub(1);
-                }
-            }
-            if let Some(until) = redirect {
-                self.fetch_stall_until = self.fetch_stall_until.max(until);
             }
         }
     }
@@ -752,10 +884,10 @@ impl Core {
     }
 
     /// Issues ready entries from among the oldest `issue_window`
-    /// unissued ones, dropping each it issues from `unissued` in the
-    /// same pass.
+    /// unissued ones, walking `ready` only and dropping each entry it
+    /// issues from both lists in the same pass.
     fn issue(&mut self, now: CpuCycle, mem: &mut CacheHierarchy) {
-        debug_assert!(self.unissued_matches_rob(), "unissued list out of sync");
+        debug_assert!(self.unissued_matches_rob(), "issue lists out of sync");
         let mut budget = self.cfg.issue_width;
         let mut int_u = self.cfg.int_units;
         let mut fp_u = self.cfg.fp_units;
@@ -764,19 +896,19 @@ impl Core {
         let mut br_u = self.cfg.br_units;
         let mut int_mul_u = self.cfg.int_mul_units;
         let mut fp_mul_u = self.cfg.fp_mul_units;
-        let mut window = self.cfg.issue_window;
-        // `idx` reads the list; the first `kept` slots hold the entries
-        // read so far that stay unissued.
+        let end = self.window_end();
+        // `idx` reads `ready`; its first `kept` slots hold the entries
+        // read so far that stay unissued. `u_idx` and `u_kept` do the
+        // same for `unissued`, which is read up to each issued entry.
         let (mut idx, mut kept) = (0, 0);
-        while budget > 0 && window > 0 && idx < self.unissued.len() {
-            let seq = self.unissued[idx];
+        let (mut u_idx, mut u_kept) = (0, 0);
+        while budget > 0 && idx < self.ready.len() && self.ready[idx] <= end {
+            let seq = self.ready[idx];
             idx += 1;
-            window -= 1;
             let slot = self.slot(seq);
             let e = &self.rob[slot];
             let kind = e.instr.kind;
             let pc = e.instr.pc;
-            let ready = self.dep_ready(seq, e.instr.src1) && self.dep_ready(seq, e.instr.src2);
             // Functional-unit check.
             let unit = match kind {
                 InstrKind::IntAlu => &mut int_u,
@@ -787,8 +919,8 @@ impl Core {
                 InstrKind::Store { .. } => &mut st_u,
                 InstrKind::Branch { .. } => &mut br_u,
             };
-            if !ready || *unit == 0 {
-                self.unissued[kept] = seq;
+            if *unit == 0 {
+                self.ready[kept] = seq;
                 kept += 1;
                 continue;
             }
@@ -801,7 +933,7 @@ impl Core {
                         // cycle, and the bounce is no lookup.
                         self.bounced.loads += 1;
                         self.bounced.shared |= file == Bounce::Shared;
-                        self.unissued[kept] = seq;
+                        self.ready[kept] = seq;
                         kept += 1;
                         continue;
                     }
@@ -834,12 +966,14 @@ impl Core {
                     self.completions.push(Reverse((now + lat, seq)));
                 }
             }
+            while self.unissued[u_idx] != seq {
+                self.unissued[u_kept] = self.unissued[u_idx];
+                (u_idx, u_kept) = (u_idx + 1, u_kept + 1);
+            }
+            u_idx += 1;
         }
-        if kept < idx {
-            let len = self.unissued.len();
-            self.unissued.copy_within(idx.., kept);
-            self.unissued.truncate(len - (idx - kept));
-        }
+        compact(&mut self.ready, idx, kept);
+        compact(&mut self.unissued, u_idx, u_kept);
     }
 
     /// Captures this core's mutable architectural state (ROB, queues,
@@ -950,21 +1084,28 @@ impl Core {
             };
             let block_reported = r.get_bool()?;
             self.rob.push_back(RobEntry {
-                instr,
-                seq,
                 issued,
                 completed,
                 waiting_mem,
                 consumers,
                 block_start,
                 block_reported,
+                ..RobEntry::new(instr, seq)
             });
         }
-        self.unissued.clear();
-        self.unissued
-            .extend(self.rob.iter().filter(|e| !e.issued).map(|e| e.seq));
         self.base_seq = r.get_u64()?;
         self.next_seq = r.get_u64()?;
+        // The issue lists below are rebuilt by ROB index, which holds
+        // only if the entries number `base_seq..next_seq` in order.
+        let numbered = (self.base_seq..)
+            .zip(&self.rob)
+            .all(|(seq, e)| e.seq == seq);
+        if !numbered || self.base_seq + self.rob.len() as u64 != self.next_seq {
+            return Err(critmem_common::codec::CodecError {
+                message: "ROB sequence numbers are not contiguous".to_string(),
+                offset: r.position(),
+            });
+        }
         self.lq_used = r.get_u64()? as usize;
         self.sq_used = r.get_u64()? as usize;
         let n = r.get_u32()? as usize;
@@ -1005,6 +1146,18 @@ impl Core {
         };
         self.dispatched = r.get_u64()?;
         self.bounced = Bounced::default();
+        // Rebuild the derived issue lists from the ROB, oldest first,
+        // as dispatch built them.
+        self.unissued.clear();
+        self.ready.clear();
+        for i in 0..self.rob.len() {
+            let e = &self.rob[i];
+            if !e.issued {
+                let seq = e.seq;
+                self.unissued.push(seq);
+                self.link_operands(seq);
+            }
+        }
         self.stats = CoreStats::decode(r)?;
         let pred = r.get_bytes()?;
         if load_predictor {
@@ -1071,18 +1224,20 @@ impl Core {
                 }
             }
             self.unissued.push(seq);
-            self.rob.push_back(RobEntry {
-                instr,
-                seq,
-                issued: false,
-                completed: false,
-                waiting_mem: false,
-                consumers: 0,
-                block_start: None,
-                block_reported: false,
-            });
+            self.rob.push_back(RobEntry::new(instr, seq));
+            self.link_operands(seq);
         }
         let _ = now;
+    }
+}
+
+/// Drops `list[kept..read]`, the slots a compacting pass has read but
+/// not kept, shifting the unread tail down.
+fn compact(list: &mut Vec<u64>, read: usize, kept: usize) {
+    if kept < read {
+        let len = list.len();
+        list.copy_within(read.., kept);
+        list.truncate(len - (read - kept));
     }
 }
 
@@ -1524,6 +1679,170 @@ mod tests {
         };
         assert!(run(39), "the 40th unissued entry is inside the window");
         assert!(!run(40), "the 41st unissued entry is outside the window");
+    }
+
+    /// `ready` and the pending counts are derived from the ROB: after
+    /// every step they equal a `dep_ready` recount, through both
+    /// sources on one producer, distances that reach past the ROB or
+    /// to committed producers, one load feeding many consumers,
+    /// mispredicted branches and loads bouncing off a two-entry L1
+    /// MSHR file. A core restored mid-run rebuilds the lists and stays
+    /// byte-identical to the original. A distance of 0 names the entry
+    /// itself, which cannot complete before it issues, so that entry
+    /// is never ready, as `dep_ready` has it.
+    #[test]
+    fn ready_list_matches_a_recount_through_every_step() {
+        use critmem_common::codec::{ByteReader, ByteWriter};
+        use critmem_common::Snapshot;
+        let check = |c: &Core, now: CpuCycle| {
+            let mut ready = Vec::new();
+            for &seq in &c.unissued {
+                let e = c.entry(seq).expect("an unissued entry is in the ROB");
+                let waits = [e.instr.src1, e.instr.src2]
+                    .into_iter()
+                    .filter(|&d| !c.dep_ready(seq, d))
+                    .count();
+                assert_eq!(
+                    usize::from(e.pending),
+                    waits,
+                    "cycle {now}: pending count of entry {seq}"
+                );
+                if waits == 0 {
+                    ready.push(seq);
+                }
+            }
+            assert_eq!(c.ready, ready, "cycle {now}: ready list");
+            assert!(c.unissued_matches_rob(), "cycle {now}: waiter lists");
+        };
+        let state = |c: &Core| {
+            let mut w = ByteWriter::new();
+            c.save_state(&mut w);
+            w.into_bytes()
+        };
+        let hierarchy = HierarchyConfig {
+            l1_mshrs: 2,
+            ..HierarchyConfig::paper_baseline(1)
+        };
+        let fresh = |target| {
+            let core = Core::new(
+                CoreId(0),
+                CoreConfig::paper_baseline(),
+                Box::new(NoPredictor),
+                target,
+            );
+            (core, CacheHierarchy::new(hierarchy))
+        };
+        // A fixed 100-cycle DRAM, answered at once as in `run_core`.
+        let step = |core: &mut Core, mem: &mut CacheHierarchy, src: &mut Script, now| {
+            core.step(now, src, mem);
+            while let Some(req) = mem.pop_request(now) {
+                if req.kind != critmem_common::AccessKind::Write {
+                    for c in mem.dram_completed(&req, now + 100) {
+                        core.mem_completed(c.token.0, c.done);
+                    }
+                }
+            }
+        };
+        let mut script = Vec::new();
+        for i in 0..200u64 {
+            // A missing load, one op reading it as both sources, and
+            // four more consumers of it.
+            script.push(Instr::new(0x0, InstrKind::Load { addr: i * 8192 }));
+            script.push(Instr::new(0x4, InstrKind::IntAlu).with_deps(Some(1), Some(1)));
+            for d in 2..6 {
+                script.push(Instr::new(0x8, InstrKind::IntAlu).with_deps(Some(d), None));
+            }
+            // Past the ROB (or before the first instruction), and on the
+            // both-sources op.
+            script.push(Instr::new(0xc, InstrKind::FpMul).with_deps(Some(300), Some(5)));
+            script.push(
+                Instr::new(
+                    0x10,
+                    InstrKind::Branch {
+                        mispredict: i % 3 == 0,
+                    },
+                )
+                .with_deps(Some(1), None),
+            );
+            // An independent load, so loads outnumber the MSHRs, and an
+            // op on a producer that has mostly committed already.
+            script.push(Instr::new(
+                0x14,
+                InstrKind::Load {
+                    addr: i * 8192 + 4096,
+                },
+            ));
+            script.push(Instr::new(0x18, InstrKind::IntAlu).with_deps(Some(50), Some(u16::MAX)));
+        }
+        let (mut a, mut mem_a) = fresh(1_500);
+        let mut src_a = Script::new(script);
+        let mut restored: Option<(Core, CacheHierarchy, Script)> = None;
+        let (mut bounced, mut now) = (0u64, 0);
+        while !a.done() && now < 1_000_000 {
+            now += 1;
+            step(&mut a, &mut mem_a, &mut src_a, now);
+            check(&a, now);
+            bounced += a.bounced.loads as u64;
+            if let Some((b, mem_b, src_b)) = &mut restored {
+                step(b, mem_b, src_b, now);
+                check(b, now);
+                assert_eq!(state(b), state(&a), "cycle {now}: restored core diverged");
+            } else if a.stats().committed >= 600 && !a.ready.is_empty() && a.ready != a.unissued {
+                // Save while some unissued entries wait and some are ready.
+                let (mut b, mut mem_b) = fresh(1_500);
+                let mut w = ByteWriter::new();
+                a.save_state(&mut w);
+                let bytes = w.into_bytes();
+                b.load_state(&mut ByteReader::new(&bytes), true)
+                    .expect("core state loads");
+                let mut w = ByteWriter::new();
+                mem_a.save_state(&mut w);
+                let bytes = w.into_bytes();
+                mem_b
+                    .load_state(&mut ByteReader::new(&bytes))
+                    .expect("hierarchy state loads");
+                check(&b, now);
+                assert_eq!(b.ready, a.ready, "the rebuilt ready list");
+                restored = Some((b, mem_b, src_a.clone()));
+            }
+        }
+        assert!(a.done(), "the run finishes");
+        assert!(restored.is_some(), "the run was saved mid-way");
+        assert!(bounced > 0, "loads bounced off the L1 MSHR file");
+        assert!(a.stats().redirect_stall_cycles > 0, "branches mispredicted");
+
+        // A distance of 0, every 20th op: each such op waits on itself
+        // for ever, and everything else issues around it.
+        let mut script = vec![Instr::new(0x0, InstrKind::IntAlu); 20];
+        script[5] = Instr::new(0x4, InstrKind::IntAlu).with_deps(Some(0), None);
+        let (mut c, mut mem) = fresh(1_000);
+        let mut src = Script::new(script);
+        for now in 1..=300 {
+            step(&mut c, &mut mem, &mut src, now);
+            check(&c, now);
+        }
+        assert_eq!(
+            c.stats().committed,
+            5,
+            "commit stops at the self-dependent op"
+        );
+        assert!(
+            c.unissued.iter().all(|&seq| seq % 20 == 5),
+            "only the self-dependent ops wait: {:?}",
+            c.unissued
+        );
+        assert_eq!(c.rob.len(), c.cfg.rob_entries, "the ROB fills behind it");
+
+        // The lists are rebuilt by ROB index, so a state whose entries
+        // do not number `base_seq..next_seq` is refused, not indexed.
+        c.base_seq += 1;
+        c.next_seq += 1;
+        let bytes = state(&c);
+        let err = fresh(1_000)
+            .0
+            .load_state(&mut ByteReader::new(&bytes), true)
+            .expect_err("a misnumbered ROB is refused");
+        assert!(err.message.contains("not contiguous"), "{}", err.message);
     }
 
     /// A core saved mid-run, while it holds unissued ROB entries, and

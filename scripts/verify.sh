@@ -153,6 +153,18 @@ if [ "$rc" -ne 2 ] || [ -e "$tmp/j.cmjr" ] || ! grep -q '^repro stats: ' "$tmp/j
   exit 1
 fi
 
+echo "== warmup scope smoke test (a subcommand refuses --warm-cycles, exit 2)"
+# Only figure sweeps share a warmup across their cells: a subcommand
+# given --warm-cycles must name itself and exit 2, never run cold.
+rc=0
+./target/release/repro --scale quick --warm-cycles 20000 fairness AELV \
+  > /dev/null 2> "$tmp/w.err" || rc=$?
+if [ "$rc" -ne 2 ] || ! grep -q '^repro fairness: ' "$tmp/w.err"; then
+  echo "warmup scope smoke: 'fairness --warm-cycles' exited $rc, expected 2:" >&2
+  cat "$tmp/w.err" >&2
+  exit 1
+fi
+
 echo "== stats export smoke test (JSONL, serial == --jobs 2 == --no-skip-ahead)"
 ./target/release/repro --scale quick --jobs 1 stats swim --epoch 20000 > "$tmp/stats.serial" 2>/dev/null
 ./target/release/repro --scale quick --jobs 2 stats swim --epoch 20000 > "$tmp/stats.jobs2" 2>/dev/null
@@ -280,10 +292,32 @@ fi
 expect_failed_cell 'swim|CASRAS-Crit|replay' trace sweep swim
 expect_failed_cell 'sampled:' stats swim --epoch 20000
 expect_failed_cell 'bundle|AELV|BLISS' fairness AELV
+# A failed cell leaves placeholders in the export, so --out writes none.
+expect_failed_cell 'bundle|AELV|BLISS' fairness AELV --out "$tmp/f.jsonl"
+if [ -e "$tmp/f.jsonl" ]; then
+  echo "fault-injection smoke: a failed fairness run still wrote its --out file" >&2
+  exit 1
+fi
 expect_failed_cell 'swim|Crit-CASRAS' checkpoint sweep swim
 expect_failed_cell 'hetero|ooo:mcf+stream|BLISS' hetero 'ooo:mcf+stream'
 # Rebuild without the feature so later runs use the production binary.
 cargo build --release -q
+
+echo "== perfbench digest pin (simulated behaviour is byte-identical)"
+# The first input of each perfbench workload must simulate to the same
+# digest. A change that moves simulated behaviour by design (ROADMAP
+# item 1's address layout, say) updates the digests here.
+for pin in par-radix:b6fa28ad hetero-stream:43cc4b67 replay-synth:bb8eaf22; do
+  workload=${pin%%:*}
+  python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 0 \
+    > "$tmp/perf.out" 2> "$tmp/perf.err"
+  if ! grep -q "^simulated digest=${pin#*:} " "$tmp/perf.out" ||
+    ! tail -n 1 "$tmp/perf.out" | grep -q '"correct": true'; then
+    echo "perfbench digest pin: $workload expected digest ${pin#*:}, correct:" >&2
+    cat "$tmp/perf.out" "$tmp/perf.err" >&2
+    exit 1
+  fi
+done
 
 echo "== cargo fmt --check (fails on rustfmt drift)"
 cargo fmt --check
