@@ -235,7 +235,7 @@ fn encoded(stats: &RunStats) -> Vec<u8> {
 /// event-driven skip-ahead off vs on, asserting both runs end with
 /// byte-identical stats (the identity claim the speedup rides on).
 fn measure_skip_ahead() -> (f64, f64) {
-    let wl = AgentMix::Alone("chase");
+    let wl = AgentMix::alone("chase");
     let run = |skip: bool| {
         let t = Instant::now();
         let out = Session::new(skip_probe_cfg(skip), &wl)

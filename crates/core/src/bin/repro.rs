@@ -142,7 +142,7 @@ fn finish(r: &Runner, resumable: bool) -> ! {
     }
     println!("\n=== Failed cells ===");
     for f in failures {
-        println!("{}: {}", f.key, f.error);
+        println!("{}: {}", f.label, f.error);
     }
     let hint = if resumable {
         " Re-run with --journal <file> --resume to retry only the missing cells."

@@ -31,14 +31,12 @@
 //! [`critmem_common::codec`], shared with `CMPF` profiles and every
 //! `CMJR` journal record: magic and version mismatches, truncation and
 //! CRC failures come back as typed [`SimError::Artifact`] values, never
-//! panics. The fingerprint is a
-//! CRC-32 over a canonical rendering of the *platform* — core count and
-//! microarchitecture, cache hierarchy, DRAM organization, clocks, seed,
-//! forwarding settings, and workload — so a checkpoint can only be
-//! restored onto the platform that produced it. Scheduler, predictor,
-//! instruction target, sampling, and watchdog settings are deliberately
-//! outside the fingerprint: those are exactly the knobs a warm-started
-//! cell varies.
+//! panics. The fingerprint is the CRC-32 of the platform part of the
+//! [`CellId`](crate::experiments::CellId): the workload, the model
+//! version and every `SystemConfig` field except scheduler, predictor,
+//! instruction target, cycle budget, sampling and watchdog (the knobs a
+//! warm-started cell varies), so a checkpoint only restores onto the
+//! platform that produced it, including any field added later.
 
 use crate::config::AgentMix;
 use crate::system::System;
@@ -100,7 +98,7 @@ impl Checkpoint {
         if expect != self.fingerprint {
             return Err(SimError::Artifact(format!(
                 "checkpoint fingerprint {:08x} does not match the target platform {expect:08x} \
-                 (cores, caches, DRAM, clocks, seed, forwarding, and workload must be identical)",
+                 (all but scheduler, predictor, instructions, budget, sampling, watchdog must match)",
                 self.fingerprint
             )));
         }

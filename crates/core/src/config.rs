@@ -109,7 +109,7 @@ pub struct AgentSpec {
     /// Application name (OoO) or traffic profile (other classes; see
     /// [`critmem_workloads::agent_profiles`]). Always the canonical
     /// `'static` spelling, so the derived `Debug` rendering — which
-    /// feeds checkpoint fingerprints — is stable.
+    /// feeds cell identities and checkpoint fingerprints — is stable.
     pub profile: &'static str,
     /// How many instances of this term to build (>= 1).
     pub count: u32,
@@ -223,12 +223,11 @@ fn parse_qos(s: &str) -> Option<u32> {
 
 /// The workload: which agents share the memory system.
 ///
-/// The three legacy shapes (`Parallel`, `Bundle`, `Alone`) are
-/// preserved as first-class variants — their derived `Debug`
-/// renderings feed checkpoint fingerprints and warmup memo keys, so
-/// existing CMCK artifacts and `--resume` journals stay valid.
-/// `Hetero` is the composable shape: any sequence of [`AgentSpec`]
-/// terms.
+/// `Hetero` is the general shape: any sequence of [`AgentSpec`] terms.
+/// A Table 4 bundle and an alone baseline are `Hetero` lists of `ooo`
+/// terms, built by [`AgentMix::bundle`] and [`AgentMix::alone`] (and
+/// parsed from `bundle:NAME` and `alone:app`). `Parallel` runs one
+/// multithreaded app on every core the platform has.
 ///
 /// # Grammar
 ///
@@ -246,15 +245,17 @@ fn parse_qos(s: &str) -> Option<u32> {
 /// `ooo` terms name an application (`ooo:mcf*2`); the other classes
 /// take an optional traffic profile (`prefetch:wild`) or, as sugar, a
 /// bare count (`stream:2` == `stream*2`). `budget` is a decimal
-/// slowdown bound (`@1.5`), resolved in thousandths.
+/// slowdown bound (`@1.5`), resolved in thousandths. `bundle:` and
+/// `alone:` are sugar and print as the `ooo` terms they stand for.
 ///
 /// # Examples
 ///
 /// ```
 /// use critmem::AgentMix;
 ///
-/// let legacy: AgentMix = "bundle:RGTM".parse().unwrap();
-/// assert_eq!(legacy, AgentMix::Bundle("RGTM"));
+/// let bundle: AgentMix = "bundle:RGTM".parse().unwrap();
+/// assert_eq!(bundle, AgentMix::bundle("RGTM"));
+/// assert_eq!(bundle.to_string(), "ooo:art1+ooo:mg1+ooo:twolf+ooo:mesa");
 ///
 /// let mix: AgentMix = "ooo:mcf*2+stream:2@1.5".parse().unwrap();
 /// assert_eq!(mix.ooo_count(), Some(2));
@@ -266,10 +267,6 @@ pub enum AgentMix {
     /// One of the nine parallel apps (Table 2), all cores running its
     /// threads.
     Parallel(&'static str),
-    /// A Table 4 bundle: four single-threaded apps on four cores.
-    Bundle(&'static str),
-    /// A single app alone on core 0 (for weighted-speedup baselines).
-    Alone(&'static str),
     /// A composed heterogeneous mix of agent terms.
     Hetero(Vec<AgentSpec>),
 }
@@ -293,15 +290,25 @@ fn unknown(kind: &'static str, name: impl Into<String>) -> critmem_common::SimEr
 }
 
 impl AgentMix {
+    /// A Table 4 bundle: its four single-threaded apps, one per core.
+    /// Panics on an unknown name; parse `bundle:NAME` for a typed error.
+    pub fn bundle(name: &str) -> Self {
+        let bundle =
+            critmem_workloads::bundle(name).unwrap_or_else(|| panic!("unknown bundle {name:?}"));
+        AgentMix::Hetero(bundle.apps.iter().map(|&app| AgentSpec::ooo(app)).collect())
+    }
+
+    /// `app` alone on one core (the weighted-speedup baselines).
+    pub fn alone(app: &'static str) -> Self {
+        AgentMix::Hetero(vec![AgentSpec::ooo(app)])
+    }
+
     /// Number of OoO cores this mix requires, when the mix itself pins
-    /// it: `Bundle` -> 4, `Alone` -> 1, `Hetero` -> the sum of its
-    /// `ooo` counts. `Parallel` runs on however many cores the
-    /// platform has, so it returns `None`.
+    /// it: for `Hetero`, the sum of its `ooo` counts. `Parallel` runs
+    /// on however many cores the platform has, so it returns `None`.
     pub fn ooo_count(&self) -> Option<usize> {
         match self {
             AgentMix::Parallel(_) => None,
-            AgentMix::Bundle(_) => Some(4),
-            AgentMix::Alone(_) => Some(1),
             AgentMix::Hetero(specs) => Some(
                 specs
                     .iter()
@@ -413,11 +420,11 @@ impl std::str::FromStr for AgentMix {
         }
         if let Some(name) = s.strip_prefix("bundle:") {
             let b = critmem_workloads::bundle(name).ok_or_else(|| unknown("bundle", name))?;
-            return Ok(AgentMix::Bundle(b.name));
+            return Ok(AgentMix::bundle(b.name));
         }
         if let Some(app) = s.strip_prefix("alone:") {
             let app = static_ooo_app(app).ok_or_else(|| unknown("application", app))?;
-            return Ok(AgentMix::Alone(app));
+            return Ok(AgentMix::alone(app));
         }
         if s.is_empty() {
             return Err(unknown("agent mix", "<empty>"));
@@ -437,8 +444,6 @@ impl std::fmt::Display for AgentMix {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             AgentMix::Parallel(app) => write!(f, "parallel:{app}"),
-            AgentMix::Bundle(name) => write!(f, "bundle:{name}"),
-            AgentMix::Alone(app) => write!(f, "alone:{app}"),
             AgentMix::Hetero(specs) => {
                 for (i, spec) in specs.iter().enumerate() {
                     if i > 0 {
@@ -502,15 +507,15 @@ pub struct SystemConfig {
     /// its stall counters) until its own horizon or an inbound fill
     /// says it can act. Byte-identical to serial stepping by
     /// construction (and asserted by the identity suite); also
-    /// excluded from checkpoint fingerprints and memo keys. Off, every
-    /// core steps every cycle: the reference kernel.
+    /// excluded from checkpoint fingerprints and sweep cell identities.
+    /// Off, every core steps every cycle: the reference kernel.
     pub skip_ahead: bool,
     /// Independent run auditing: attach a shadow protocol auditor to
     /// every DRAM channel and a request-conservation auditor to the
     /// L2↔controller boundary. Audited runs are byte-identical in
     /// exported statistics to unaudited ones — the auditors only watch —
     /// so, like [`SystemConfig::skip_ahead`], this knob is excluded from
-    /// checkpoint fingerprints and sweep memo keys. A violation
+    /// checkpoint fingerprints and sweep cell identities. A violation
     /// surfaces as a typed [`critmem_common::SimError::AuditViolation`].
     pub audit: bool,
 }
@@ -518,21 +523,11 @@ pub struct SystemConfig {
 impl SystemConfig {
     /// Canonical platform fingerprint of this configuration running
     /// `workload`: everything that must be identical between the system
-    /// that saved a checkpoint and one restoring it.
+    /// that saved a checkpoint and one restoring it: the CRC of the
+    /// platform part of its [`CellId`](crate::experiments::CellId).
     pub(crate) fn platform_fingerprint(&self, workload: &AgentMix) -> u32 {
-        let canon = format!(
-            "cores={};core={:?};hier={:?};dram={:?};mhz={};seed={};fwd={}/{};wl={:?}",
-            self.cores,
-            self.core,
-            self.hierarchy,
-            self.dram,
-            self.cpu_mhz,
-            self.seed,
-            self.naive_forwarding,
-            self.forward_latency,
-            workload
-        );
-        critmem_common::crc32::checksum(canon.as_bytes())
+        let platform = crate::experiments::harness::CellId::platform(self, workload);
+        critmem_common::crc32::checksum(platform.as_bytes())
     }
 
     /// The paper's 8-core parallel-workload baseline: FR-FCFS, no
@@ -696,11 +691,11 @@ mod tests {
         );
         assert_eq!(
             "bundle:RGTM".parse::<AgentMix>().unwrap(),
-            AgentMix::Bundle("RGTM")
+            AgentMix::bundle("RGTM")
         );
         assert_eq!(
             "alone:mcf".parse::<AgentMix>().unwrap(),
-            AgentMix::Alone("mcf")
+            AgentMix::alone("mcf")
         );
         for bad in ["parallel:mcf", "bundle:XXXX", "alone:nope", ""] {
             assert!(
@@ -759,8 +754,8 @@ mod tests {
     fn mix_grammar_round_trips() {
         let mut mixes = vec![
             AgentMix::Parallel("swim"),
-            AgentMix::Bundle("RGTM"),
-            AgentMix::Alone("mcf"),
+            AgentMix::bundle("RGTM"),
+            AgentMix::alone("mcf"),
         ];
         let classes = [AgentClass::Stream, AgentClass::Bulk, AgentClass::Prefetch];
         for class in classes {
@@ -815,18 +810,23 @@ mod tests {
 
     #[test]
     fn legacy_debug_renderings_are_stable() {
-        // Checkpoint fingerprints and warmup memo keys embed the
-        // workload's Debug form; the three legacy shapes must render
-        // exactly as the retired `WorkloadKind` did.
+        // Cell identities and checkpoint fingerprints embed the
+        // workload's Debug form. `Parallel` renders as the retired
+        // `WorkloadKind` did; a bundle and an alone run are sugar with
+        // no rendering of their own: each is its `ooo` term list.
         assert_eq!(
             format!("{:?}", AgentMix::Parallel("swim")),
             "Parallel(\"swim\")"
         );
+        let terms: AgentMix = "ooo:art1+ooo:mg1+ooo:twolf+ooo:mesa".parse().unwrap();
         assert_eq!(
-            format!("{:?}", AgentMix::Bundle("RGTM")),
-            "Bundle(\"RGTM\")"
+            format!("{:?}", AgentMix::bundle("RGTM")),
+            format!("{terms:?}")
         );
-        assert_eq!(format!("{:?}", AgentMix::Alone("mcf")), "Alone(\"mcf\")");
+        assert_eq!(
+            format!("{:?}", AgentMix::alone("mcf")),
+            format!("{:?}", AgentMix::Hetero(vec![AgentSpec::ooo("mcf")]))
+        );
     }
 
     #[test]

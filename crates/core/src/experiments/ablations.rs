@@ -60,13 +60,12 @@ impl Ablations {
 }
 
 /// Runs the three ablations over the runner's apps. The cells at the
-/// platform defaults are the shared untagged ones: the default cap is
-/// the CASRAS-Crit cell of Figure 4, and page interleaving is the
-/// FR-FCFS baseline.
+/// platform defaults share the untagged ones by configuration: the
+/// default cap is the CASRAS-Crit cell of Figure 4, and page
+/// interleaving is the FR-FCFS baseline.
 pub fn ablations(r: &mut Runner) -> Ablations {
     let apps = r.scale.apps.clone();
     let pred = PredictorKind::cbp64(CbpMetric::MaxStallTime);
-    let default_cap = r.parallel_cfg().dram.starvation_cap;
     let mut arrangement = Vec::new();
     let mut cap_speedups = vec![Vec::new(); STARVATION_CAPS.len()];
     let mut interleaving = Vec::new();
@@ -76,22 +75,17 @@ pub fn ablations(r: &mut Runner) -> Ablations {
         let casras_crit = r.parallel(app, SchedulerKind::CasRasCrit, pred).cycles as f64;
         arrangement.push((base / crit_casras, base / casras_crit));
         for (speedups, cap) in cap_speedups.iter_mut().zip(STARVATION_CAPS) {
-            let cycles = if cap == default_cap {
-                casras_crit
-            } else {
-                r.parallel_with(
-                    app,
-                    SchedulerKind::CasRasCrit,
-                    pred,
-                    &format!("cap{cap}"),
-                    |mut c| {
-                        c.dram.starvation_cap = cap;
-                        c
-                    },
-                )
-                .cycles as f64
-            };
-            speedups.push(base / cycles);
+            let cell = r.parallel_with(
+                app,
+                SchedulerKind::CasRasCrit,
+                pred,
+                &format!("cap{cap}"),
+                |mut c| {
+                    c.dram.starvation_cap = cap;
+                    c
+                },
+            );
+            speedups.push(base / cell.cycles as f64);
         }
         let line = r.parallel_with(
             app,

@@ -152,7 +152,7 @@ pub(crate) fn alone_ipc(r: &mut Runner, app: &'static str) -> f64 {
     cfg.cores = 1;
     cfg.hierarchy = critmem_cache::HierarchyConfig::paper_baseline(1);
     cfg.hierarchy.l2_mshrs = 32;
-    let stats = r.run_keyed(format!("alone|{app}"), cfg, &AgentMix::Alone(app));
+    let stats = r.run_keyed(format!("alone|{app}"), cfg, &AgentMix::alone(app));
     stats.ipc(0)
 }
 
@@ -183,7 +183,7 @@ pub fn fairness_frontier(runner: &mut Runner) -> FairnessFrontier {
                 let stats = r.run_keyed(
                     format!("bundle|{bname}|{label}"),
                     cfg,
-                    &AgentMix::Bundle(bname),
+                    &AgentMix::bundle(bname),
                 );
                 points[si]
                     .weighted_speedup

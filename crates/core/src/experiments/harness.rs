@@ -64,10 +64,76 @@ impl Scale {
     }
 }
 
-/// One sweep cell for [`Runner::execute`]: the memo key its result is
-/// stored under, and the simulation that produces it.
+/// The identity of one sweep cell, which keys its memo entry, shared
+/// warmup and journal record: the canonical text of the cell kind, the
+/// workload, the whole [`SystemConfig`] in `Debug` form (so a field
+/// added later joins it on its own), the warm-start boundary and
+/// [`critmem_workloads::MODEL_VERSION`]. The engine knobs that cannot
+/// change a result (`--jobs`, [`SystemConfig::skip_ahead`],
+/// [`SystemConfig::audit`]) are left out. A replay's id is its
+/// capture's id plus the scheduler.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct CellId(pub(crate) String);
+
+impl CellId {
+    /// An execution-driven run, warm-started from a shared warmup to
+    /// `warm` cycles when that is set.
+    pub fn run(cfg: &SystemConfig, workload: &AgentMix, warm: Option<u64>) -> Self {
+        Self::cell("run", cfg, workload, warm)
+    }
+
+    /// A trace capture of parallel app `app` (always cold).
+    pub fn capture(cfg: &SystemConfig, app: &'static str) -> Self {
+        Self::cell("capture", cfg, &AgentMix::Parallel(app), None)
+    }
+
+    /// A replay of `capture` under `scheduler`.
+    pub fn replay(capture: &CellId, scheduler: SchedulerKind) -> Self {
+        CellId(format!("{}|replay={scheduler:?}", capture.0))
+    }
+
+    /// The platform part: the rendering with the fields a cell may
+    /// change after restoring a checkpoint (scheduler, predictor,
+    /// instruction target, cycle budget, sampling, watchdog) fixed.
+    /// Every other field must match for a checkpoint to restore.
+    pub(crate) fn platform(cfg: &SystemConfig, workload: &AgentMix) -> String {
+        let platform = SystemConfig {
+            scheduler: SchedulerKind::FrFcfs,
+            predictor: PredictorKind::None,
+            instructions_per_core: 0,
+            max_cycles: 0,
+            sample_epoch: None,
+            watchdog: critmem_common::WatchdogConfig::default(),
+            ..cfg.clone()
+        };
+        Self::render(&platform, workload)
+    }
+
+    fn cell(kind: &str, cfg: &SystemConfig, workload: &AgentMix, warm: Option<u64>) -> Self {
+        let body = Self::render(cfg, workload);
+        CellId(match warm {
+            Some(cycles) => format!("{kind}|{body}|warm={cycles}"),
+            None => format!("{kind}|{body}"),
+        })
+    }
+
+    fn render(cfg: &SystemConfig, workload: &AgentMix) -> String {
+        let cfg = SystemConfig {
+            skip_ahead: true,
+            audit: false,
+            ..cfg.clone()
+        };
+        let model = critmem_workloads::MODEL_VERSION;
+        format!("model={model}|wl={workload:?}|cfg={cfg:?}")
+    }
+}
+
+/// One sweep cell for [`Runner::execute`]: its identity, the label
+/// progress lines and failure reports name it by, and the simulation
+/// that produces it.
 struct Job {
-    key: String,
+    id: CellId,
+    label: String,
     work: Work,
 }
 
@@ -90,21 +156,21 @@ enum Work {
         app: &'static str,
         cfg: SystemConfig,
     },
-    /// A replay of `app`'s capture, which is resolved again once the
-    /// captures have settled.
+    /// A replay of the capture `capture`, which settles first.
     Replay {
-        app: &'static str,
+        capture: CellId,
         scheduler: SchedulerKind,
-        trace: Arc<Trace>,
     },
 }
 
-/// What an executed [`Job`] produced.
-enum Outcome {
-    Warmup(Checkpoint),
-    Run(Box<RunStats>),
-    Capture(Trace),
-    Replay(ReplayStats),
+/// What a [`Job`] produced (or its placeholder): one memo entry.
+enum Memo {
+    /// A shared warmup's checkpoint; `None` records a failed warmup so
+    /// dependent cells fall back to cold runs instead of retrying it.
+    Warmup(Option<Arc<Checkpoint>>),
+    Run(Arc<RunStats>),
+    Capture(Arc<Trace>),
+    Replay(Arc<ReplayStats>),
 }
 
 /// One sweep cell that failed (panicked past retry, tripped the
@@ -112,8 +178,8 @@ enum Outcome {
 /// completed; the failed cell's memo slot holds a placeholder.
 #[derive(Debug)]
 pub struct CellFailure {
-    /// The memo key of the failed cell.
-    pub key: String,
+    /// The label of the failed cell.
+    pub label: String,
     /// What went wrong.
     pub error: SimError,
 }
@@ -130,27 +196,24 @@ pub struct Runner {
     /// planning pass runs and each memo miss executes as it is met.
     pub jobs: usize,
     /// Event-driven skip-ahead ([`SystemConfig::skip_ahead`]). Results
-    /// are identical by construction, so the memo keys deliberately do
+    /// are identical by construction, so [`CellId`]s deliberately do
     /// not encode it.
     pub skip_ahead: bool,
     /// Independent run auditors ([`SystemConfig::audit`]) on every
     /// simulation. Audited runs are byte-identical in exported
-    /// statistics, so this too is absent from memo keys; a violation
+    /// statistics, so this too is absent from [`CellId`]s; a violation
     /// fails the cell with a typed error like any other.
     pub audit: bool,
-    /// Warm-start boundary in CPU cycles. When set, each distinct
-    /// `(platform, workload, instruction budget)` is warmed once under
-    /// the shared baseline configuration (FR-FCFS, no predictor) up to
-    /// this cycle, the full architectural state is checkpointed, and
-    /// every sweep cell restores from the shared snapshot instead of
-    /// re-simulating the warmup. Cells that sample time series run cold
-    /// (their series must cover the whole run), as do trace captures
-    /// (the recorded stream must start at cycle zero).
+    /// Warm-start boundary in CPU cycles. When set, each cell's
+    /// configuration under the shared baseline (FR-FCFS, no predictor)
+    /// is warmed once up to this cycle and checkpointed, and every cell
+    /// of it restores from the shared snapshot. Cells that sample time
+    /// series run cold (their series must cover the whole run), as do
+    /// trace captures (the recorded stream must start at cycle zero).
     pub warm_cycles: Option<u64>,
-    cache: HashMap<String, Arc<RunStats>>,
+    /// Every settled or planned cell, keyed by its identity.
+    memo: HashMap<CellId, Memo>,
     runs_executed: u64,
-    traces: HashMap<String, Arc<Trace>>,
-    replay_cache: HashMap<String, Arc<ReplayStats>>,
     replays_executed: u64,
     /// The jobs a planning pass has recorded so far.
     planning: Option<Vec<Job>>,
@@ -160,10 +223,6 @@ pub struct Runner {
     /// runner so once-per-cell state never leaks across sweeps that
     /// share a process.
     hooks: FaultHooks,
-    /// Shared warmup checkpoints, keyed by warmup key; `None` records a
-    /// failed warmup so dependent cells fall back to cold runs instead
-    /// of retrying it.
-    checkpoints: HashMap<String, Option<Arc<Checkpoint>>>,
 }
 
 impl Runner {
@@ -176,16 +235,13 @@ impl Runner {
             skip_ahead: true,
             audit: false,
             warm_cycles: None,
-            cache: HashMap::new(),
+            memo: HashMap::new(),
             runs_executed: 0,
-            traces: HashMap::new(),
-            replay_cache: HashMap::new(),
             replays_executed: 0,
             planning: None,
             failed: Vec::new(),
             journal: None,
             hooks: FaultHooks::from_env(),
-            checkpoints: HashMap::new(),
         }
     }
 
@@ -219,14 +275,11 @@ impl Runner {
     /// [`SweepJournal::resume`]; subsequent runs skip those cells.
     pub fn preload(&mut self, entries: Vec<JournalEntry>) {
         for entry in entries {
-            match entry {
-                JournalEntry::Run { key, stats } => {
-                    self.cache.insert(key, Arc::new(stats));
-                }
-                JournalEntry::Replay { key, stats } => {
-                    self.replay_cache.insert(key, Arc::new(stats));
-                }
-            }
+            let (id, memo) = match entry {
+                JournalEntry::Run { id, stats } => (id, Memo::Run(Arc::new(stats))),
+                JournalEntry::Replay { id, stats } => (id, Memo::Replay(Arc::new(stats))),
+            };
+            self.memo.insert(id, memo);
         }
     }
 
@@ -243,9 +296,9 @@ impl Runner {
 
     /// Records a failed cell (and tells the operator immediately on
     /// stderr; the summary report comes from [`Runner::failures`]).
-    fn record_failure(&mut self, key: String, error: SimError) {
-        eprintln!("  [FAILED] {key}: {error}");
-        self.failed.push(CellFailure { key, error });
+    fn record_failure(&mut self, label: String, error: SimError) {
+        eprintln!("  [FAILED] {label}: {error}");
+        self.failed.push(CellFailure { label, error });
     }
 
     /// Number of distinct trace replays executed (not cache hits).
@@ -253,45 +306,50 @@ impl Runner {
         self.replays_executed
     }
 
-    /// The shared warmup a run restores from. `None` means warm starts
-    /// are off or the run samples a time series (which must cover the
-    /// whole run); either way the run is cold. The warmup runs under
-    /// the sweep-neutral baseline (FR-FCFS, no predictor) and is keyed
-    /// by the platform it warms and the instruction budget.
+    /// The warm-start boundary of a run: `None` when warm starts are
+    /// off or the run samples a time series (which must cover the whole
+    /// run); either way the run is cold.
+    fn warm_boundary(&self, cfg: &SystemConfig) -> Option<u64> {
+        self.warm_cycles.filter(|_| cfg.sample_epoch.is_none())
+    }
+
+    /// The shared warmup a warm-started run restores from. It runs
+    /// under the sweep-neutral baseline (FR-FCFS, no predictor), so
+    /// cells that differ only in scheduler and predictor share it.
     fn warmup(&self, cfg: &SystemConfig, workload: &AgentMix) -> Option<Job> {
-        let cycles = self.warm_cycles.filter(|_| cfg.sample_epoch.is_none())?;
+        let cycles = self.warm_boundary(cfg)?;
         let mut warm = cfg.clone();
         warm.scheduler = SchedulerKind::FrFcfs;
         warm.predictor = PredictorKind::None;
-        let key = format!(
+        let label = format!(
             "warmup:{:08x}@{}+warm{cycles}",
             warm.platform_fingerprint(workload),
             cfg.instructions_per_core,
         );
+        let id = CellId::cell("warmup", &warm, workload, Some(cycles));
         let workload = workload.clone();
         let work = Work::Warmup {
             cfg: warm,
             workload,
             cycles,
         };
-        Some(Job { key, work })
+        Some(Job { id, label, work })
     }
 
     /// A sorted, comparable snapshot of the memo tables: one
-    /// `(key, headline cycle count)` entry per cached run and replay.
+    /// `(id, headline cycle count)` entry per cached run and replay.
     /// Two runners that executed the same experiments must produce
     /// identical snapshots regardless of `jobs` (the determinism
     /// contract of [`Runner::run_parallel`]).
-    pub fn memo_snapshot(&self) -> Vec<(String, u64)> {
-        let mut v: Vec<(String, u64)> = self
-            .cache
+    pub fn memo_snapshot(&self) -> Vec<(CellId, u64)> {
+        let mut v: Vec<(CellId, u64)> = self
+            .memo
             .iter()
-            .map(|(k, s)| (k.clone(), s.cycles))
-            .chain(
-                self.replay_cache
-                    .iter()
-                    .map(|(k, s)| (k.clone(), s.cpu_cycles)),
-            )
+            .filter_map(|(id, memo)| match memo {
+                Memo::Run(s) => Some((id.clone(), s.cycles)),
+                Memo::Replay(s) => Some((id.clone(), s.cpu_cycles)),
+                Memo::Warmup(_) | Memo::Capture(_) => None,
+            })
             .collect();
         v.sort();
         v
@@ -306,8 +364,9 @@ impl Runner {
     /// need from their structure (app lists, scheduler tables), never
     /// from simulation results; (2) execution of the recorded jobs on
     /// the pool, merged into the memo tables in plan order (results are
-    /// keyed and the simulations are deterministic, so insertion order
-    /// is irrelevant to the table contents); (3) a re-run of `f` that
+    /// keyed by [`CellId`] and the simulations are deterministic, so
+    /// insertion order is irrelevant to the table contents); (3) a
+    /// re-run of `f` that
     /// now hits the warm cache everywhere and therefore returns output
     /// byte-identical to a serial run.
     ///
@@ -340,38 +399,28 @@ impl Runner {
     }
 
     fn store_placeholder(&mut self, job: &Job) {
-        let key = job.key.clone();
-        match &job.work {
-            Work::Warmup { .. } => {
-                self.checkpoints.insert(key, None);
-            }
-            Work::Run { cfg, .. } => {
-                let stats = RunStats {
-                    cycles: 1,
-                    core_finish: vec![1; cfg.cores],
-                    cores: vec![Default::default(); cfg.cores],
-                    hierarchy: Default::default(),
-                    channels: vec![Default::default(); cfg.dram.org.channels as usize],
-                    lq_full_cycles: vec![0; cfg.cores],
-                    instructions_per_core: cfg.instructions_per_core.max(1),
-                    predictor_observed: vec![None; cfg.cores],
-                    series: None,
-                    agents: Vec::new(),
-                };
-                self.cache.insert(key, Arc::new(stats));
-            }
-            Work::Capture { app, cfg } => {
-                let trace = Trace {
-                    fingerprint: critmem_trace::Fingerprint::of(cfg.cores, cfg.cpu_mhz, &cfg.dram),
-                    source: app.to_string(),
-                    records: Vec::new(),
-                };
-                self.traces.insert(key, Arc::new(trace));
-            }
-            Work::Replay { .. } => {
-                self.replay_cache.insert(key, Arc::default());
-            }
-        }
+        let placeholder = match &job.work {
+            Work::Warmup { .. } => Memo::Warmup(None),
+            Work::Run { cfg, .. } => Memo::Run(Arc::new(RunStats {
+                cycles: 1,
+                core_finish: vec![1; cfg.cores],
+                cores: vec![Default::default(); cfg.cores],
+                hierarchy: Default::default(),
+                channels: vec![Default::default(); cfg.dram.org.channels as usize],
+                lq_full_cycles: vec![0; cfg.cores],
+                instructions_per_core: cfg.instructions_per_core.max(1),
+                predictor_observed: vec![None; cfg.cores],
+                series: None,
+                agents: Vec::new(),
+            })),
+            Work::Capture { app, cfg } => Memo::Capture(Arc::new(Trace {
+                fingerprint: critmem_trace::Fingerprint::of(cfg.cores, cfg.cpu_mhz, &cfg.dram),
+                source: app.to_string(),
+                records: Vec::new(),
+            })),
+            Work::Replay { .. } => Memo::Replay(Arc::default()),
+        };
+        self.memo.insert(job.id.clone(), placeholder);
     }
 
     /// Executes jobs on the worker pool in three stages: the shared
@@ -382,7 +431,7 @@ impl Runner {
         for job in &jobs {
             if let Work::Run { cfg, workload } = &job.work {
                 match self.warmup(cfg, workload) {
-                    Some(w) if !self.checkpoints.contains_key(&w.key) => {
+                    Some(w) if !self.memo.contains_key(&w.id) => {
                         self.store_placeholder(&w);
                         warmups.push(w);
                     }
@@ -390,17 +439,11 @@ impl Runner {
                 }
             }
         }
-        let (mut replays, sims): (Vec<Job>, Vec<Job>) = jobs
+        let (replays, sims): (Vec<Job>, Vec<Job>) = jobs
             .into_iter()
             .partition(|job| matches!(job.work, Work::Replay { .. }));
         self.execute_stage(warmups);
         self.execute_stage(sims);
-        for job in &mut replays {
-            if let Work::Replay { app, trace, .. } = &mut job.work {
-                // The capture has settled by now, so this is a hit.
-                *trace = self.capture(app);
-            }
-        }
         self.execute_stage(replays);
     }
 
@@ -409,7 +452,7 @@ impl Runner {
     /// same content at every job count, independent of which worker
     /// finishes first.
     fn execute_stage(&mut self, stage: Vec<Job>) {
-        for Job { key, work } in &stage {
+        for Job { label, work, .. } in &stage {
             let n = match work {
                 Work::Replay { .. } => &mut self.replays_executed,
                 _ => &mut self.runs_executed,
@@ -417,10 +460,10 @@ impl Runner {
             *n += 1;
             if self.verbose {
                 match work {
-                    Work::Warmup { .. } => eprintln!("  [warmup] {key}"),
-                    Work::Run { .. } => eprintln!("  [run {n:>3}] {key}"),
-                    Work::Capture { .. } => eprintln!("  [capture] {key}"),
-                    Work::Replay { .. } => eprintln!("  [replay {n:>3}] {key}"),
+                    Work::Warmup { .. } => eprintln!("  [warmup] {label}"),
+                    Work::Run { .. } => eprintln!("  [run {n:>3}] {label}"),
+                    Work::Capture { .. } => eprintln!("  [capture] {label}"),
+                    Work::Replay { .. } => eprintln!("  [replay {n:>3}] {label}"),
                 }
             }
         }
@@ -428,106 +471,97 @@ impl Runner {
         for (job, result) in stage.into_iter().zip(results) {
             // Flatten: the outer error is a caught panic, the inner one
             // a typed failure from the simulation itself.
-            self.settle(job.key, result.and_then(|r| r));
+            self.settle(job.id, job.label, result.and_then(|r| r));
         }
     }
 
     /// Executes one job on a pool worker.
-    fn run_job(&self, job: &Job) -> Result<Outcome, SimError> {
-        self.hooks.maybe_inject(&job.key);
+    fn run_job(&self, job: &Job) -> Result<Memo, SimError> {
+        self.hooks.maybe_inject(&job.label);
         Ok(match &job.work {
             Work::Warmup {
                 cfg,
                 workload,
                 cycles,
-            } => Outcome::Warmup(
+            } => Memo::Warmup(Some(Arc::new(
                 Session::new(cfg.clone(), workload)
                     .checkpoint_at(*cycles)
                     .run_to_checkpoint()?,
-            ),
+            ))),
             Work::Run { cfg, workload } => {
-                let warm = self
-                    .warmup(cfg, workload)
-                    .and_then(|w| self.checkpoints.get(&w.key)?.as_ref());
-                let session = match warm {
-                    Some(ckpt) => Session::from_checkpoint(ckpt, cfg.clone(), workload),
-                    None => Session::new(cfg.clone(), workload),
+                let warmup = self.warmup(cfg, workload);
+                let session = match warmup.and_then(|w| self.memo.get(&w.id)) {
+                    Some(Memo::Warmup(Some(ckpt))) => {
+                        Session::from_checkpoint(ckpt, cfg.clone(), workload)
+                    }
+                    _ => Session::new(cfg.clone(), workload),
                 };
-                Outcome::Run(Box::new(session.run()?.stats))
+                Memo::Run(Arc::new(session.run()?.stats))
             }
-            Work::Capture { app, cfg } => Outcome::Capture(
+            Work::Capture { app, cfg } => Memo::Capture(Arc::new(
                 Session::new(cfg.clone(), &AgentMix::Parallel(app))
                     .traced(app)
                     .run()?
                     .observer
                     .into_trace(),
-            ),
-            Work::Replay {
-                scheduler, trace, ..
-            } => {
+            )),
+            Work::Replay { capture, scheduler } => {
+                let Some(Memo::Capture(trace)) = self.memo.get(capture) else {
+                    unreachable!("a replay's capture is memoized before it");
+                };
                 let cfg = ReplayConfig::default().with_audit(self.audit);
-                Outcome::Replay(crate::replay(
+                Memo::Replay(Arc::new(crate::replay(
                     TraceSource::from((**trace).clone()),
                     *scheduler,
                     cfg,
-                )?)
+                )?))
             }
         })
     }
 
     /// Settles one executed cell: a success is journaled and replaces
     /// its placeholder in the memo tables; a failure keeps the
-    /// placeholder and is recorded.
-    fn settle(&mut self, key: String, result: Result<Outcome, SimError>) {
+    /// placeholder and is recorded under its label.
+    fn settle(&mut self, id: CellId, label: String, result: Result<Memo, SimError>) {
         match result {
-            Ok(Outcome::Warmup(ckpt)) => {
-                self.checkpoints.insert(key, Some(Arc::new(ckpt)));
+            Ok(memo) => {
+                match &memo {
+                    Memo::Run(stats) => self.journal(|j| j.append_run(&id, stats)),
+                    Memo::Replay(stats) => self.journal(|j| j.append_replay(&id, stats)),
+                    Memo::Warmup(_) | Memo::Capture(_) => {}
+                }
+                self.memo.insert(id, memo);
             }
-            Ok(Outcome::Run(stats)) => {
-                self.journal(|j| j.append_run(&key, &stats));
-                self.cache.insert(key, Arc::new(*stats));
-            }
-            Ok(Outcome::Capture(trace)) => {
-                self.traces.insert(key, Arc::new(trace));
-            }
-            Ok(Outcome::Replay(stats)) => {
-                self.journal(|j| j.append_replay(&key, &stats));
-                self.replay_cache.insert(key, Arc::new(stats));
-            }
-            Err(error) => self.record_failure(key, error),
+            Err(error) => self.record_failure(label, error),
         }
     }
 
-    /// Runs (or recalls) a simulation under a unique `key`.
-    ///
-    /// The memoization key is qualified with the run's instruction
-    /// budget: callers' keys encode app/scheduler/predictor, and the
-    /// budget is the remaining `Scale`-dependent input, so a runner
-    /// whose scale is changed mid-flight never recalls a stale result.
-    /// Warm-started cells additionally carry a `+warm{cycles}` suffix,
-    /// so a resumed journal never serves a cold run's result to a
-    /// warm-start cell (or vice versa).
+    /// The memo entry of `id`, first submitting the cell `job` builds
+    /// (its label and work) when there is none.
+    fn recall(&mut self, id: &CellId, job: impl FnOnce(&mut Self) -> (String, Work)) -> &Memo {
+        if !self.memo.contains_key(id) {
+            let (label, work) = job(self);
+            let id = id.clone();
+            self.submit(Job { id, label, work });
+        }
+        &self.memo[id]
+    }
+
+    /// Runs (or recalls) the simulation of `workload` under `cfg`. The
+    /// memo is keyed by the cell's [`CellId`]; `label` names the cell
+    /// in progress lines and failure reports only.
     pub fn run_keyed(
         &mut self,
-        key: String,
+        label: String,
         cfg: SystemConfig,
         workload: &AgentMix,
     ) -> Arc<RunStats> {
-        let key = match (self.warm_cycles, cfg.sample_epoch) {
-            (Some(cycles), None) => {
-                format!("{key}@{}+warm{cycles}", cfg.instructions_per_core)
-            }
-            _ => format!("{key}@{}", cfg.instructions_per_core),
-        };
-        if !self.cache.contains_key(&key) {
-            let workload = workload.clone();
-            let work = Work::Run { cfg, workload };
-            self.submit(Job {
-                key: key.clone(),
-                work,
-            });
+        let id = CellId::run(&cfg, workload, self.warm_boundary(&cfg));
+        let workload = workload.clone();
+        match self.recall(&id, |_| (label, Work::Run { cfg, workload })) {
+            Memo::Run(stats) => Arc::clone(stats),
+            _ => unreachable!("a run id holds a run"),
         }
-        Arc::clone(&self.cache[&key])
     }
 
     /// Captures (or recalls) a parallel app's request trace at this
@@ -537,24 +571,28 @@ impl Runner {
     /// ignores them, so arrival timing is the FR-FCFS baseline's).
     /// Every subsequent [`Runner::replay`] of the app reuses it.
     pub fn capture(&mut self, app: &'static str) -> Arc<Trace> {
-        self.capture_with(
-            app,
-            PredictorKind::cbp64(critmem_predict::CbpMetric::MaxStallTime),
-        )
+        self.capture_with(app, annotating_predictor())
     }
 
     /// Captures (or recalls) an app's trace with a specific annotation
     /// predictor (one capture per metric under study).
     pub fn capture_with(&mut self, app: &'static str, predictor: PredictorKind) -> Arc<Trace> {
-        let key = format!("{app}|{}@{}", predictor.name(), self.scale.instructions);
-        if !self.traces.contains_key(&key) {
-            let cfg = self.parallel_cfg().with_predictor(predictor);
-            self.submit(Job {
-                key: key.clone(),
-                work: Work::Capture { app, cfg },
-            });
+        let (id, cfg) = self.capture_cell(app, predictor);
+        let job = |_: &mut Self| {
+            let label = format!("{app}|{}", predictor.name());
+            (label, Work::Capture { app, cfg })
+        };
+        match self.recall(&id, job) {
+            Memo::Capture(trace) => Arc::clone(trace),
+            _ => unreachable!("a capture id holds a capture"),
         }
-        Arc::clone(&self.traces[&key])
+    }
+
+    /// `app`'s capture id and configuration under `predictor`, shared by
+    /// `capture_with` and `replay` so a replay names the capture it submits.
+    fn capture_cell(&self, app: &'static str, predictor: PredictorKind) -> (CellId, SystemConfig) {
+        let cfg = self.parallel_cfg().with_predictor(predictor);
+        (CellId::capture(&cfg, app), cfg)
     }
 
     /// Replays (or recalls) an app's captured trace under `scheduler`.
@@ -562,24 +600,18 @@ impl Runner {
     /// same topology, scheduler swapped — so the replayed controllers
     /// see exactly the recorded arrival stream.
     pub fn replay(&mut self, app: &'static str, scheduler: SchedulerKind) -> Arc<ReplayStats> {
-        let key = format!(
-            "{app}|{}|replay@{}",
-            scheduler.name(),
-            self.scale.instructions
-        );
-        if !self.replay_cache.contains_key(&key) {
-            let trace = self.capture(app);
-            let work = Work::Replay {
-                app,
-                scheduler,
-                trace,
-            };
-            self.submit(Job {
-                key: key.clone(),
-                work,
-            });
+        let (capture, _) = self.capture_cell(app, annotating_predictor());
+        let id = CellId::replay(&capture, scheduler);
+        let job = |r: &mut Self| {
+            // Only on a miss: a journaled replay needs no capture.
+            r.capture(app);
+            let label = format!("{app}|{}|replay", scheduler.name());
+            (label, Work::Replay { capture, scheduler })
+        };
+        match self.recall(&id, job) {
+            Memo::Replay(stats) => Arc::clone(stats),
+            _ => unreachable!("a replay id holds a replay"),
         }
-        Arc::clone(&self.replay_cache[&key])
     }
 
     /// `cfg` with this runner's engine knobs (skip-ahead, audit) and a
@@ -612,8 +644,8 @@ impl Runner {
     }
 
     /// Runs a parallel app under `(scheduler, predictor)` with an
-    /// optional config transform; `tag` must uniquely identify the
-    /// transform.
+    /// optional config transform; `tag` names the transform in the
+    /// cell's label.
     pub fn parallel_with<F>(
         &mut self,
         app: &'static str,
@@ -630,8 +662,8 @@ impl Runner {
                 .with_scheduler(scheduler)
                 .with_predictor(predictor),
         );
-        let key = format!("{app}|{}|{}|{tag}", scheduler.name(), predictor.name());
-        self.run_keyed(key, cfg, &AgentMix::Parallel(app))
+        let label = format!("{app}|{}|{}|{tag}", scheduler.name(), predictor.name());
+        self.run_keyed(label, cfg, &AgentMix::Parallel(app))
     }
 
     /// Runs a parallel app under `(scheduler, predictor)`.
@@ -648,6 +680,12 @@ impl Runner {
     pub fn baseline(&mut self, app: &'static str) -> Arc<RunStats> {
         self.parallel(app, SchedulerKind::FrFcfs, PredictorKind::None)
     }
+}
+
+/// The predictor whose annotations [`Runner::capture`] records: the
+/// paper's 64-entry MaxStallTime CBP.
+fn annotating_predictor() -> PredictorKind {
+    PredictorKind::cbp64(critmem_predict::CbpMetric::MaxStallTime)
 }
 
 /// A plain-text table with row labels, column headers, and formatted
@@ -746,7 +784,7 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
     }
 
-    /// Regression: the memo key must track the active scale. Changing
+    /// Regression: the memo must track the active scale. Changing
     /// `scale.instructions` between calls used to recall the old run.
     #[test]
     fn memo_key_tracks_scale() {
@@ -799,41 +837,167 @@ mod tests {
         );
     }
 
-    /// `--audit` and `--no-skip-ahead` reach every cell the runner
-    /// builds: the multiprogrammed studies' alone, bundle and mix runs,
-    /// their shared warmups, and captures.
+    /// A cell id follows every `SystemConfig` field, the workload, the
+    /// kind, the warm boundary and the model version; `--jobs`,
+    /// `--no-skip-ahead` and `--audit` leave it alone.
+    #[test]
+    fn cell_id_covers_the_whole_configuration() {
+        let base = SystemConfig::paper_baseline(1_000);
+        let wl = AgentMix::Parallel("swim");
+        let reference = CellId::run(&base, &wl, None);
+        // No `..` here: a new field stops this compiling until it gets
+        // a change below (or joins the knobs that must not count).
+        let SystemConfig {
+            cores: _,
+            core: _,
+            hierarchy: _,
+            dram: _,
+            cpu_mhz: _,
+            scheduler: _,
+            predictor: _,
+            instructions_per_core: _,
+            seed: _,
+            naive_forwarding: _,
+            forward_latency: _,
+            max_cycles: _,
+            sample_epoch: _,
+            watchdog: _,
+            shards: _,
+            skip_ahead: _,
+            audit: _,
+        } = base;
+        type Change = fn(&mut SystemConfig);
+        let changes: [(&str, Change); 15] = [
+            ("cores", |c| c.cores = 4),
+            ("core", |c| c.core.rob_entries += 1),
+            ("hierarchy", |c| c.hierarchy.l2_mshrs += 1),
+            ("dram", |c| c.dram.starvation_cap += 1),
+            ("cpu_mhz", |c| c.cpu_mhz += 1),
+            ("scheduler", |c| c.scheduler = SchedulerKind::CasRasCrit),
+            ("predictor", |c| c.predictor = annotating_predictor()),
+            ("instructions_per_core", |c| c.instructions_per_core += 1),
+            ("seed", |c| c.seed ^= 1),
+            ("naive_forwarding", |c| c.naive_forwarding = true),
+            ("forward_latency", |c| c.forward_latency += 1),
+            ("max_cycles", |c| c.max_cycles -= 1),
+            ("sample_epoch", |c| c.sample_epoch = Some(1_000)),
+            ("watchdog", |c| c.watchdog.check_interval += 1),
+            ("shards", |c| c.shards = 2),
+        ];
+        for (field, change) in changes {
+            let mut cfg = base.clone();
+            change(&mut cfg);
+            assert_ne!(CellId::run(&cfg, &wl, None), reference, "{field}");
+        }
+        let other_workloads = [AgentMix::Parallel("mg"), AgentMix::alone("swim")];
+        for other in other_workloads {
+            assert_ne!(CellId::run(&base, &other, None), reference, "{other}");
+        }
+        let warm = CellId::run(&base, &wl, Some(1_000));
+        assert_ne!(warm, reference);
+        assert_ne!(CellId::cell("warmup", &base, &wl, Some(1_000)), warm);
+        let capture = CellId::capture(&base, "swim");
+        assert_ne!(capture, reference);
+        assert_ne!(
+            CellId::replay(&capture, SchedulerKind::FrFcfs),
+            CellId::replay(&capture, SchedulerKind::CasRasCrit)
+        );
+        let body = CellId::render(&base, &wl);
+        assert!(reference.0.contains(&body));
+        let model = format!("model={}|", critmem_workloads::MODEL_VERSION);
+        assert!(reference.0.contains(&model), "{reference:?} omits {model}");
+
+        // The engine knobs, set on a runner, reach the configuration
+        // but not the id.
+        let cell = |jobs: usize, skip_ahead: bool, audit: bool| {
+            let mut r = Runner::new(Scale::quick());
+            (r.jobs, r.skip_ahead, r.audit) = (jobs, skip_ahead, audit);
+            let cfg = r.parallel_cfg();
+            assert_eq!((cfg.skip_ahead, cfg.audit), (skip_ahead, audit));
+            CellId::run(&cfg, &wl, None)
+        };
+        let plain = cell(1, true, false);
+        for (jobs, skip_ahead, audit) in [(4, true, false), (1, false, false), (1, true, true)] {
+            assert_eq!(cell(jobs, skip_ahead, audit), plain);
+        }
+    }
+
+    /// A planning pass of every experiment at quick scale: `--audit`
+    /// and `--no-skip-ahead` reach every cell the runner builds (runs,
+    /// their shared warmups, captures), and each label names exactly
+    /// one cell. A label with two ids would be two configurations that
+    /// hand-made memo keys conflated.
     #[test]
     fn engine_knobs_reach_every_planned_cell() {
-        let mut r = Runner::new(Scale {
-            instructions: 300,
-            apps: vec![],
-            sweep_apps: vec![],
-            bundles: vec!["AELV"],
-        });
+        use crate::experiments as e;
+        let mut r = Runner::new(Scale::quick());
         r.jobs = 2;
         r.audit = true;
         r.skip_ahead = false;
         r.warm_cycles = Some(1_000);
-        let mix: AgentMix = "ooo:mcf+stream+bulk".parse().expect("grammar");
+        let mixes: Vec<(String, AgentMix)> = e::default_mixes()
+            .into_iter()
+            .map(|s| {
+                let mix: AgentMix = s.parse().expect("grammar");
+                (mix.to_string(), mix)
+            })
+            .collect();
         // A planning pass records every cell without running it.
         r.planning = Some(Vec::new());
-        crate::experiments::fig12(&mut r);
-        crate::experiments::fairness_frontier(&mut r);
-        crate::experiments::hetero_study(&mut r, &[(mix.to_string(), mix)]);
-        r.capture("swim");
+        e::fig1(&mut r);
+        e::fig3(&mut r);
+        e::fig4(&mut r);
+        e::fig5(&mut r);
+        e::fig6(&mut r);
+        e::fig7(&mut r);
+        e::fig8(&mut r);
+        e::fig9(&mut r);
+        e::fig10(&mut r);
+        e::fig11(&mut r);
+        e::fig12(&mut r);
+        e::table5(&mut r);
+        e::table7(&mut r);
+        e::naive(&mut r);
+        e::reset_study(&mut r);
+        e::ablations(&mut r);
+        e::trace_sweep(&mut r, "swim");
+        e::fairness_frontier(&mut r);
+        e::hetero_study(&mut r, &mixes);
+        e::stats_export(
+            &mut r,
+            &["swim"],
+            SchedulerKind::FrFcfs,
+            PredictorKind::None,
+            20_000,
+        );
         let plan = r.planning.take().expect("planning state");
-        let mut cells = Vec::new();
+        let mut ids: HashMap<String, Vec<CellId>> = HashMap::new();
+        let mut knobs = Vec::new();
+        let mut note = |job: &Job| {
+            let cell = ids.entry(job.label.clone()).or_default();
+            if !cell.contains(&job.id) {
+                cell.push(job.id.clone());
+            }
+        };
         for job in &plan {
+            note(job);
             match &job.work {
                 Work::Run { cfg, workload } => {
-                    cells.push((job.key.clone(), cfg.audit, cfg.skip_ahead));
-                    let warmup = r.warmup(cfg, workload).expect("warm starts are on");
-                    if let Work::Warmup { cfg, .. } = &warmup.work {
-                        cells.push((warmup.key, cfg.audit, cfg.skip_ahead));
+                    knobs.push((job.label.clone(), cfg.audit, cfg.skip_ahead));
+                    match (r.warmup(cfg, workload), cfg.sample_epoch) {
+                        (Some(warmup), _) => {
+                            note(&warmup);
+                            if let Work::Warmup { cfg, .. } = &warmup.work {
+                                knobs.push((warmup.label, cfg.audit, cfg.skip_ahead));
+                            }
+                        }
+                        (None, None) => panic!("{} has no warmup", job.label),
+                        // Sampled runs are never warm-started.
+                        (None, Some(_)) => {}
                     }
                 }
                 Work::Capture { cfg, .. } => {
-                    cells.push((job.key.clone(), cfg.audit, cfg.skip_ahead));
+                    knobs.push((job.label.clone(), cfg.audit, cfg.skip_ahead));
                 }
                 Work::Warmup { .. } | Work::Replay { .. } => {}
             }
@@ -847,14 +1011,29 @@ mod tests {
             "swim|",
         ] {
             assert!(
-                cells.iter().any(|(k, ..)| k.starts_with(prefix)),
+                knobs.iter().any(|(label, ..)| label.starts_with(prefix)),
                 "no {prefix} cell planned"
             );
         }
-        for (key, audit, skip_ahead) in &cells {
-            assert!(*audit, "{key} runs without auditors");
-            assert!(!*skip_ahead, "{key} runs with skip-ahead");
+        // The stats export names its sampled cells `{app}|…|sampled:{epoch}`.
+        assert!(
+            knobs.iter().any(|(label, ..)| label.contains("|sampled:")),
+            "no sampled cell planned"
+        );
+        for (label, audit, skip_ahead) in &knobs {
+            assert!(*audit, "{label} runs without auditors");
+            assert!(!*skip_ahead, "{label} runs with skip-ahead");
         }
+        let mut conflated: Vec<&String> = ids
+            .iter()
+            .filter(|(_, cells)| cells.len() > 1)
+            .map(|(label, _)| label)
+            .collect();
+        conflated.sort();
+        assert!(
+            conflated.is_empty(),
+            "labels naming two cells: {conflated:?}"
+        );
     }
 
     #[test]

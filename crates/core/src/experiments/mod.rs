@@ -26,7 +26,7 @@ pub use audit::{
 };
 pub use compare::{fig10, fig11, Fig11};
 pub use fairness::{fairness_frontier, frontier_schedulers, FairnessFrontier, FrontierPoint};
-pub use harness::{CellFailure, Runner, Scale, TextTable};
+pub use harness::{CellFailure, CellId, Runner, Scale, TextTable};
 pub use hetero::{default_mixes, hetero_study, HeteroPoint, HeteroStudy};
 pub use multiprog::{fig12, Fig12};
 pub use parallel_figs::{

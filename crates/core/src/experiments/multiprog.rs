@@ -105,7 +105,7 @@ fn bundle_run(
     r.run_keyed(
         format!("bundle|{name}|{label}"),
         cfg,
-        &AgentMix::Bundle(name),
+        &AgentMix::bundle(name),
     )
 }
 

@@ -32,7 +32,7 @@
 //! no-op unless the `fault-inject` cargo feature is on; with the
 //! feature, [`FaultHooks::from_env`] reads:
 //!
-//! * `CRITMEM_FAULT_PANIC_KEY` — cells whose memo key contains the
+//! * `CRITMEM_FAULT_PANIC_KEY` — cells whose label contains the
 //!   pattern panic on **every** attempt (retry exhaustion path);
 //! * `CRITMEM_FAULT_PANIC_ONCE` — matching cells panic on their
 //!   **first** attempt only (retry recovery path).
@@ -315,20 +315,20 @@ impl FaultHooks {
         }
     }
 
-    /// Panics if an armed pattern matches `key` (substring match on
-    /// the cell's memo key). With no armed patterns — always the case
+    /// Panics if an armed pattern matches `label` (substring match on
+    /// the cell's label). With no armed patterns — always the case
     /// without the `fault-inject` feature — this is two `Option`
     /// checks.
-    pub fn maybe_inject(&self, key: &str) {
+    pub fn maybe_inject(&self, label: &str) {
         if let Some(pat) = &self.panic_key {
-            if key.contains(pat.as_str()) {
-                panic!("injected fault: cell {key:?} matched CRITMEM_FAULT_PANIC_KEY={pat:?}");
+            if label.contains(pat.as_str()) {
+                panic!("injected fault: cell {label:?} matched CRITMEM_FAULT_PANIC_KEY={pat:?}");
             }
         }
         if let Some(pat) = &self.panic_once {
-            if key.contains(pat.as_str()) && self.fired.lock().unwrap().insert(key.to_string()) {
+            if label.contains(pat.as_str()) && self.fired.lock().unwrap().insert(label.into()) {
                 panic!(
-                    "injected transient fault: cell {key:?} matched \
+                    "injected transient fault: cell {label:?} matched \
                      CRITMEM_FAULT_PANIC_ONCE={pat:?}"
                 );
             }

@@ -2,7 +2,7 @@
 //!
 //! As a sweep executes, the [`Runner`](crate::experiments::Runner)
 //! appends every *completed* simulation result — one CRC-framed record
-//! per memo-table entry — to a [`SweepJournal`]. If the process is
+//! per memo entry, under its [`CellId`] — to a [`SweepJournal`]. If the process is
 //! killed mid-sweep (OOM, ^C, a machine reboot), `repro --resume`
 //! reopens the journal, recovers the longest valid prefix of records,
 //! preloads them into the memo tables, and re-runs **only the missing
@@ -13,12 +13,12 @@
 //! # Format
 //!
 //! ```text
-//! "CMJR" magic | u32 version (2) | record*
+//! "CMJR" magic | u32 version (3) | record*
 //! record := u8 kind (1 = run, 2 = replay)
 //!         | u32 payload length
 //!         | payload bytes
 //!         | u32 CRC-32 of the payload
-//! payload := length-prefixed key string | stats encoding
+//! payload := length-prefixed cell id text | stats encoding
 //! ```
 //!
 //! A sampled run's stats encoding carries its series in the binary
@@ -32,9 +32,9 @@
 //!         | str unit
 //! ```
 //!
-//! A version-1 journal, whose series are JSONL text, fails `--resume`
-//! with "unsupported sweep journal version 1" rather than ending
-//! recovery at its first sampled record.
+//! Older journals fail `--resume` with "unsupported sweep journal
+//! version N": version 1 held series as JSONL text, and version 2 keyed
+//! records by strings that left parts of the configuration out.
 //!
 //! The header and each record's length, payload and CRC are the sealed
 //! frame of [`critmem_common::codec`], the one `CMCK` checkpoints and
@@ -47,6 +47,7 @@
 //! retries them, which is exactly what the operator wants after fixing
 //! whatever killed the run.
 
+use crate::experiments::harness::CellId;
 use crate::system::RunStats;
 use critmem_common::codec::{ByteReader, ByteWriter, CodecError};
 use critmem_common::SimError;
@@ -58,36 +59,36 @@ use std::path::{Path, PathBuf};
 /// Magic bytes opening every journal file.
 pub const MAGIC: &[u8; 4] = b"CMJR";
 /// Format version written by this build.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 
 const KIND_RUN: u8 = 1;
 const KIND_REPLAY: u8 = 2;
 
-/// One recovered journal record: a completed simulation keyed exactly
-/// as the runner's memo table keys it.
+/// One recovered journal record: a completed simulation under the id
+/// the runner's memo tables key it by.
 #[derive(Debug)]
 pub enum JournalEntry {
     /// An execution-driven run.
     Run {
-        /// The runner's memo key.
-        key: String,
+        /// The cell's identity.
+        id: CellId,
         /// The persisted result.
         stats: RunStats,
     },
     /// A trace replay.
     Replay {
-        /// The runner's replay memo key.
-        key: String,
+        /// The cell's identity.
+        id: CellId,
         /// The persisted result.
         stats: ReplayStats,
     },
 }
 
 impl JournalEntry {
-    /// The memo key this entry restores.
-    pub fn key(&self) -> &str {
+    /// The cell this entry restores.
+    pub fn id(&self) -> &CellId {
         match self {
-            JournalEntry::Run { key, .. } | JournalEntry::Replay { key, .. } => key,
+            JournalEntry::Run { id, .. } | JournalEntry::Replay { id, .. } => id,
         }
     }
 }
@@ -167,9 +168,9 @@ impl SweepJournal {
     /// # Errors
     ///
     /// [`SimError::Io`] on a failed write.
-    pub fn append_run(&mut self, key: &str, stats: &RunStats) -> Result<(), SimError> {
+    pub fn append_run(&mut self, id: &CellId, stats: &RunStats) -> Result<(), SimError> {
         let mut payload = ByteWriter::new();
-        payload.put_str(key);
+        payload.put_str(&id.0);
         stats.encode(&mut payload);
         self.append_record(KIND_RUN, &payload.into_bytes())
     }
@@ -179,9 +180,9 @@ impl SweepJournal {
     /// # Errors
     ///
     /// [`SimError::Io`] on a failed write.
-    pub fn append_replay(&mut self, key: &str, stats: &ReplayStats) -> Result<(), SimError> {
+    pub fn append_replay(&mut self, id: &CellId, stats: &ReplayStats) -> Result<(), SimError> {
         let mut payload = ByteWriter::new();
-        payload.put_str(key);
+        payload.put_str(&id.0);
         stats.encode(&mut payload);
         self.append_record(KIND_REPLAY, &payload.into_bytes())
     }
@@ -218,14 +219,14 @@ fn recover(bytes: &[u8]) -> Result<(Vec<JournalEntry>, usize), CodecError> {
 fn decode_record(r: &mut ByteReader<'_>) -> Option<JournalEntry> {
     let kind = r.get_u8().ok()?;
     let mut payload = ByteReader::new(r.get_sealed("journal record").ok()?);
-    let key = payload.get_str().ok()?;
+    let id = CellId(payload.get_str().ok()?);
     match kind {
         KIND_RUN => Some(JournalEntry::Run {
-            key,
+            id,
             stats: RunStats::decode(&mut payload).ok()?,
         }),
         KIND_REPLAY => Some(JournalEntry::Replay {
-            key,
+            id,
             stats: ReplayStats::decode(&mut payload).ok()?,
         }),
         _ => None,
@@ -243,14 +244,24 @@ mod tests {
         p
     }
 
-    fn small_stats() -> RunStats {
+    fn small_cfg() -> SystemConfig {
         let mut cfg = SystemConfig::paper_baseline(300);
         cfg.cores = 1;
         cfg.hierarchy = critmem_cache::HierarchyConfig::paper_baseline(1);
-        crate::session::Session::new(cfg, &AgentMix::Alone("swim"))
+        cfg
+    }
+
+    fn small_stats() -> RunStats {
+        crate::session::Session::new(small_cfg(), &AgentMix::alone("swim"))
             .run()
             .unwrap_or_else(|e| panic!("{e}"))
             .stats
+    }
+
+    /// A stand-in id for the recovery tests, which look only at which
+    /// records survive.
+    fn id(text: &str) -> CellId {
+        CellId(text.to_string())
     }
 
     #[test]
@@ -262,24 +273,27 @@ mod tests {
             completed: 11,
             ..Default::default()
         };
+        let run_id = CellId::run(&small_cfg(), &AgentMix::alone("swim"), None);
+        let capture = CellId::capture(&SystemConfig::paper_baseline(300), "swim");
+        let replay_id = CellId::replay(&capture, critmem_sched::SchedulerKind::Fcfs);
         {
             let mut j = SweepJournal::create(&path).unwrap();
-            j.append_run("swim|FR-FCFS@300", &stats).unwrap();
-            j.append_replay("swim|FCFS|replay@300", &replay).unwrap();
+            j.append_run(&run_id, &stats).unwrap();
+            j.append_replay(&replay_id, &replay).unwrap();
         }
         let (_, entries) = SweepJournal::resume(&path).unwrap();
         assert_eq!(entries.len(), 2);
         match &entries[0] {
-            JournalEntry::Run { key, stats: got } => {
-                assert_eq!(key, "swim|FR-FCFS@300");
+            JournalEntry::Run { id, stats: got } => {
+                assert_eq!(id, &run_id);
                 assert_eq!(got.cycles, stats.cycles);
                 assert_eq!(got.cores[0].committed, stats.cores[0].committed);
             }
             other => panic!("wrong kind: {other:?}"),
         }
         match &entries[1] {
-            JournalEntry::Replay { key, stats: got } => {
-                assert_eq!(key, "swim|FCFS|replay@300");
+            JournalEntry::Replay { id, stats: got } => {
+                assert_eq!(id, &replay_id);
                 assert_eq!(got.injected, 11);
             }
             other => panic!("wrong kind: {other:?}"),
@@ -293,19 +307,19 @@ mod tests {
         let stats = small_stats();
         {
             let mut j = SweepJournal::create(&path).unwrap();
-            j.append_run("a@300", &stats).unwrap();
-            j.append_run("b@300", &stats).unwrap();
+            j.append_run(&id("a@300"), &stats).unwrap();
+            j.append_run(&id("b@300"), &stats).unwrap();
         }
         // Simulate a kill mid-write: chop 7 bytes off the second record.
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() - 7]).unwrap();
         let (mut j, entries) = SweepJournal::resume(&path).unwrap();
         assert_eq!(entries.len(), 1, "torn record must not survive");
-        assert_eq!(entries[0].key(), "a@300");
-        j.append_run("c@300", &stats).unwrap();
+        assert_eq!(entries[0].id(), &id("a@300"));
+        j.append_run(&id("c@300"), &stats).unwrap();
         drop(j);
         let (_, entries) = SweepJournal::resume(&path).unwrap();
-        let keys: Vec<&str> = entries.iter().map(|e| e.key()).collect();
+        let keys: Vec<&str> = entries.iter().map(|e| e.id().0.as_str()).collect();
         assert_eq!(keys, ["a@300", "c@300"]);
         std::fs::remove_file(&path).unwrap();
     }
@@ -316,8 +330,8 @@ mod tests {
         let stats = small_stats();
         {
             let mut j = SweepJournal::create(&path).unwrap();
-            j.append_run("a@300", &stats).unwrap();
-            j.append_run("b@300", &stats).unwrap();
+            j.append_run(&id("a@300"), &stats).unwrap();
+            j.append_run(&id("b@300"), &stats).unwrap();
         }
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2; // inside the first or second payload
@@ -337,7 +351,7 @@ mod tests {
         let mut j = SweepJournal::create(&path).unwrap();
         let mut ends = vec![8];
         for key in ["a", "bb", "ccc"] {
-            j.append_replay(key, &ReplayStats::default()).unwrap();
+            j.append_replay(&id(key), &ReplayStats::default()).unwrap();
             ends.push(std::fs::metadata(&path).unwrap().len() as usize);
         }
         let bytes = std::fs::read(&path).unwrap();
@@ -348,7 +362,7 @@ mod tests {
                 continue;
             };
             let whole = ends.iter().filter(|&&end| end <= cut).count() - 1;
-            let keys: Vec<&str> = entries.iter().map(|e| e.key()).collect();
+            let keys: Vec<&str> = entries.iter().map(|e| e.id().0.as_str()).collect();
             assert_eq!(keys, ["a", "bb", "ccc"][..whole], "cut {cut}");
             assert_eq!(valid_end, ends[whole], "cut {cut}");
         }
@@ -360,12 +374,15 @@ mod tests {
         std::fs::write(&path, b"not a journal at all").unwrap();
         let err = SweepJournal::resume(&path).unwrap_err();
         assert!(matches!(err, SimError::Artifact(_)), "{err:?}");
-        std::fs::write(&path, b"CMJR\x01\0\0\0").unwrap();
-        match SweepJournal::resume(&path).unwrap_err() {
-            SimError::Artifact(msg) => {
-                assert!(msg.contains("unsupported sweep journal version 1"), "{msg}")
+        for version in [1u8, 2] {
+            std::fs::write(&path, [b'C', b'M', b'J', b'R', version, 0, 0, 0]).unwrap();
+            match SweepJournal::resume(&path).unwrap_err() {
+                SimError::Artifact(msg) => assert!(
+                    msg.contains(&format!("unsupported sweep journal version {version}")),
+                    "{msg}"
+                ),
+                other => panic!("version {version}: expected Artifact error, got {other:?}"),
             }
-            other => panic!("version 1: expected Artifact error, got {other:?}"),
         }
         std::fs::remove_file(&path).unwrap();
     }

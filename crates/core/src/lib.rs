@@ -115,15 +115,16 @@ mod tests {
             weighted_latency_sum: 1 << 70,
             ..Default::default()
         };
+        let id = crate::experiments::harness::CellId("swim|FCFS|replay@300".into());
         crate::journal::SweepJournal::create(&path)
             .unwrap()
-            .append_replay("swim|FCFS|replay@300", &replay)
+            .append_replay(&id, &replay)
             .unwrap();
         let journal = std::fs::read(&path).unwrap();
         let (_, entries) = crate::journal::SweepJournal::resume(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
         assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].key(), "swim|FCFS|replay@300");
+        assert_eq!(entries[0].id(), &id);
 
         let records: Vec<TraceRecord> = (0..3u64)
             .map(|i| TraceRecord {
@@ -173,7 +174,7 @@ mod tests {
             [
                 0xECF3_1881,
                 0x48BF_3C33,
-                0x6E7E_532F,
+                0x57C2_0373,
                 0x470B_05F7,
                 0x2ECC_2BF1
             ],

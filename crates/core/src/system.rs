@@ -400,7 +400,7 @@ impl System {
     ///
     /// [`SimError::Config`] if the configuration fails validation,
     /// [`SimError::UnknownWorkload`] if the workload names an unknown
-    /// application or bundle.
+    /// application or agent profile.
     pub fn try_new(cfg: SystemConfig, workload: &AgentMix) -> Result<Self, SimError> {
         Self::try_with_observer(cfg, workload, ())
     }
@@ -445,7 +445,7 @@ impl<O: RequestObserver> System<O> {
     ///
     /// [`SimError::Config`] if the configuration fails validation,
     /// [`SimError::UnknownWorkload`] if the workload names an unknown
-    /// application or bundle.
+    /// application or agent profile.
     pub fn try_with_observer(
         cfg: SystemConfig,
         workload: &AgentMix,
@@ -453,18 +453,13 @@ impl<O: RequestObserver> System<O> {
     ) -> Result<Self, SimError> {
         cfg.validate().map_err(SimError::Config)?;
         // One walk of the workload builds every producer: each core's
-        // instruction source and the non-core agents.
+        // instruction source and the non-core agents. Faults are
+        // reported in one order wherever they sit in the mix: an
+        // unknown application, then a core-count mismatch, then an
+        // unknown agent profile, then an empty or oversized mix.
         let mut sources: Vec<Box<dyn InstrSource>> = Vec::new();
         let mut agents: Vec<Box<dyn MemoryAgent>> = Vec::new();
-        // An `alone` run or an `ooo` term may name any application.
-        let ooo_app = |app: &str| {
-            multi_app(app)
-                .or_else(|| parallel_app(app))
-                .ok_or_else(|| SimError::UnknownWorkload {
-                    kind: "application",
-                    name: app.to_string(),
-                })
-        };
+        let mut unknown_profile = None;
         match workload {
             AgentMix::Parallel(app) => {
                 let spec = parallel_app(app).ok_or_else(|| SimError::UnknownWorkload {
@@ -475,43 +470,16 @@ impl<O: RequestObserver> System<O> {
                     sources.push(Box::new(AppThread::new(&spec, c, cfg.seed)));
                 }
             }
-            AgentMix::Bundle(name) => {
-                let bundle =
-                    critmem_workloads::bundle(name).ok_or_else(|| SimError::UnknownWorkload {
-                        kind: "bundle",
-                        name: (*name).to_string(),
-                    })?;
-                if cfg.cores != 4 {
-                    return Err(SimError::Config(format!(
-                        "bundles are four-application workloads (got {} cores)",
-                        cfg.cores
-                    )));
-                }
-                for (c, app) in bundle.apps.iter().enumerate() {
-                    let spec = multi_app(app).ok_or_else(|| SimError::UnknownWorkload {
-                        kind: "application",
-                        name: (*app).to_string(),
-                    })?;
-                    sources.push(Box::new(AppThread::new(&spec, c, cfg.seed)));
-                }
-            }
-            AgentMix::Alone(app) => {
-                if cfg.cores != 1 {
-                    return Err(SimError::Config(format!(
-                        "alone runs use a single core (got {})",
-                        cfg.cores
-                    )));
-                }
-                sources.push(Box::new(AppThread::new(&ooo_app(app)?, 0, cfg.seed)));
-            }
             AgentMix::Hetero(specs) => {
-                // Faults are reported in one order wherever they sit in
-                // the mix: an unknown application, then a core-count
-                // mismatch, then an unknown agent profile.
-                let mut unknown_profile = None;
                 for spec in specs {
                     if spec.class == AgentClass::Ooo {
-                        let app_spec = ooo_app(spec.profile)?;
+                        // An `ooo` term may name any application.
+                        let app_spec = multi_app(spec.profile)
+                            .or_else(|| parallel_app(spec.profile))
+                            .ok_or_else(|| SimError::UnknownWorkload {
+                                kind: "application",
+                                name: spec.profile.to_string(),
+                            })?;
                         for _ in 0..spec.count {
                             let thread = sources.len();
                             sources.push(Box::new(AppThread::new(&app_spec, thread, cfg.seed)));
@@ -541,26 +509,26 @@ impl<O: RequestObserver> System<O> {
                         }
                     }
                 }
-                if sources.len() != cfg.cores {
-                    return Err(SimError::Config(format!(
-                        "mix has {} ooo agents but the configuration has {} cores",
-                        sources.len(),
-                        cfg.cores
-                    )));
-                }
-                if let Some(err) = unknown_profile {
-                    return Err(err);
-                }
-                if agents.is_empty() && cfg.cores == 0 {
-                    return Err(SimError::Config("empty agent mix".to_string()));
-                }
-                if cfg.cores + agents.len() > 64 {
-                    return Err(SimError::Config(format!(
-                        "mix has {} participants (64 max)",
-                        cfg.cores + agents.len()
-                    )));
-                }
             }
+        }
+        if sources.len() != cfg.cores {
+            return Err(SimError::Config(format!(
+                "mix has {} ooo agents but the configuration has {} cores",
+                sources.len(),
+                cfg.cores
+            )));
+        }
+        if let Some(err) = unknown_profile {
+            return Err(err);
+        }
+        if agents.is_empty() && cfg.cores == 0 {
+            return Err(SimError::Config("empty agent mix".to_string()));
+        }
+        if cfg.cores + agents.len() > 64 {
+            return Err(SimError::Config(format!(
+                "mix has {} participants (64 max)",
+                cfg.cores + agents.len()
+            )));
         }
         let cores = (0..sources.len())
             .map(|c| {
@@ -1512,7 +1480,7 @@ mod tests {
     fn bundle_runs_on_four_cores() {
         let mut cfg = SystemConfig::multiprogrammed_baseline(1_500);
         cfg.max_cycles = 50_000_000;
-        let stats = run(cfg, &AgentMix::Bundle("AELV"));
+        let stats = run(cfg, &AgentMix::bundle("AELV"));
         assert_eq!(stats.cores.len(), 4);
         assert!(stats.ipc(0) > 0.0);
     }
@@ -1524,7 +1492,7 @@ mod tests {
         cfg.hierarchy = critmem_cache::HierarchyConfig::paper_baseline(1);
         cfg.hierarchy.l2_mshrs = 32;
         cfg.max_cycles = 50_000_000;
-        let stats = run(cfg, &AgentMix::Alone("mcf"));
+        let stats = run(cfg, &AgentMix::alone("mcf"));
         assert_eq!(stats.cores.len(), 1);
         assert!(stats.cores[0].committed >= 1_500);
     }
@@ -1814,6 +1782,22 @@ mod tests {
         cfg.cores = 4;
         let err = System::try_new(cfg, &mix).unwrap_err();
         assert!(matches!(err, SimError::Config(_)), "got {err}");
+    }
+
+    /// A parallel app on a zero-core platform has no producer at all,
+    /// like an empty hetero list: the build refuses both before any
+    /// scheduler is sized for zero threads.
+    #[test]
+    fn empty_mix_is_a_config_error_under_every_scheduler() {
+        for (label, sched, pred) in crate::experiments::frontier_schedulers() {
+            let cfg = hetero(0, 500).with_scheduler(sched).with_predictor(pred);
+            for mix in [AgentMix::Parallel("swim"), AgentMix::Hetero(Vec::new())] {
+                match System::try_new(cfg.clone(), &mix) {
+                    Err(SimError::Config(msg)) => assert_eq!(msg, "empty agent mix", "{label}"),
+                    other => panic!("{label} on {mix:?}: got {:?}", other.err()),
+                }
+            }
+        }
     }
 
     #[test]

@@ -1227,7 +1227,6 @@ impl Core {
             self.rob.push_back(RobEntry::new(instr, seq));
             self.link_operands(seq);
         }
-        let _ = now;
     }
 }
 
@@ -1323,21 +1322,13 @@ mod tests {
 
     #[test]
     fn missing_load_blocks_rob_head() {
-        // Loads at unique addresses (always missing to DRAM) separated
-        // by a few ALU ops.
-        let instrs = vec![
-            Instr::new(0x0, InstrKind::Load { addr: 0 }),
-            Instr::new(0x4, InstrKind::IntAlu),
-            Instr::new(0x8, InstrKind::IntAlu),
-        ];
-        // Every iteration reuses addr 0 after the first fill, so make
-        // each load unique via a stride-happy script.
+        // Loads at unique addresses (always missing to DRAM), each
+        // followed by an ALU op.
         let mut script = Vec::new();
         for i in 0..64u64 {
             script.push(Instr::new(0x0, InstrKind::Load { addr: i * 8192 }));
             script.push(Instr::new(0x4, InstrKind::IntAlu));
         }
-        let _ = instrs;
         let (core, _, _) = run_core(script, 128, 1_000_000);
         assert!(core.done());
         assert!(

@@ -33,3 +33,8 @@ pub use agents::{
 pub use multi::{app_class, bundle, multi_app, AppClass, Bundle, BUNDLES, MULTI_APPS};
 pub use parallel::{parallel_app, PARALLEL_APPS};
 pub use spec::{AddrPattern, AppSpec, AppThread, DepSpec, OpClass, Phase, StaticOp, SHARED_BASE};
+
+/// Version of the generated instruction and request streams. Sweep
+/// cell identities and checkpoint fingerprints include it: a change to
+/// any stream bumps it, so no result of the old model is reused.
+pub const MODEL_VERSION: u32 = 1;

@@ -40,7 +40,7 @@ fn main() {
             cfg.cores = 1;
             cfg.hierarchy = critmem_cache::HierarchyConfig::paper_baseline(1);
             cfg.hierarchy.l2_mshrs = 32;
-            let stats = run(cfg, &AgentMix::Alone(app));
+            let stats = run(cfg, &AgentMix::alone(app));
             let ipc = stats.ipc(0);
             println!("  alone IPC {app:<7} = {ipc:.3}");
             ipc
@@ -81,7 +81,7 @@ fn main() {
         let cfg = SystemConfig::multiprogrammed_baseline(instructions)
             .with_scheduler(sched)
             .with_predictor(pred);
-        let stats = run(cfg, &AgentMix::Bundle(bundle_name));
+        let stats = run(cfg, &AgentMix::bundle(bundle_name));
         let ws = weighted_speedup(&stats, &alone);
         let ms = max_slowdown(&stats, &alone);
         let ws_parbs = *ws_parbs.get_or_insert(ws);

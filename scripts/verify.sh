@@ -127,19 +127,22 @@ expect_torn ./target/release/repro --scale quick checkpoint restore "$tmp/torn.c
   --sched casras-crit --pred maxstalltime
 expect_torn ./target/release/repro trace synth "$tmp/torn.cmpf" --requests 1000
 
-echo "== stale journal smoke test (a version-1 journal is refused, never re-run)"
-# A CMJR header of version 1 (series as embedded JSONL) must fail
-# --resume with a typed error and exit 1: no panic, no silent re-run.
-printf 'CMJR\001\000\000\000' > "$tmp/v1.cmjr"
-rc=0
-./target/release/repro --scale quick --journal "$tmp/v1.cmjr" --resume fig4 \
-  > "$tmp/v1.out" 2> "$tmp/v1.err" || rc=$?
-if [ "$rc" -ne 1 ] || ! grep -q 'unsupported sweep journal version 1' "$tmp/v1.err" ||
-  [ -s "$tmp/v1.out" ]; then
-  echo "stale journal smoke: --resume exited $rc, expected 1 with the version error:" >&2
-  cat "$tmp/v1.err" >&2
-  exit 1
-fi
+echo "== stale journal smoke test (version-1 and -2 journals are refused, never re-run)"
+# A CMJR header of version 1 (series as embedded JSONL) or version 2
+# (records under hand-formatted keys, not cell ids) must fail --resume
+# with a typed error and exit 1: no panic, no silent re-run.
+for version in 1 2; do
+  printf "CMJR\\00${version}\\000\\000\\000" > "$tmp/v$version.cmjr"
+  rc=0
+  ./target/release/repro --scale quick --journal "$tmp/v$version.cmjr" --resume fig4 \
+    > "$tmp/v$version.out" 2> "$tmp/v$version.err" || rc=$?
+  if [ "$rc" -ne 1 ] || ! grep -q "unsupported sweep journal version $version" "$tmp/v$version.err" ||
+    [ -s "$tmp/v$version.out" ]; then
+    echo "stale journal smoke: version $version --resume exited $rc, expected 1 with the version error:" >&2
+    cat "$tmp/v$version.err" >&2
+    exit 1
+  fi
+done
 
 echo "== journal scope smoke test (a subcommand refuses --journal, exit 2)"
 # Only figure sweeps journal their cells: a subcommand given --journal
@@ -218,6 +221,21 @@ diff "$tmp/hetero.serial" "$tmp/hetero.jobs2"
 ./target/release/repro --scale quick --jobs 1 --no-skip-ahead hetero 'ooo:mcf+stream+bulk' \
   > "$tmp/hetero.noskip" 2>/dev/null
 diff "$tmp/hetero.serial" "$tmp/hetero.noskip"
+
+echo "== mix sugar smoke test (bundle and alone mixes run, an empty platform is refused)"
+# `bundle:` and `alone:` are sugar for lists of ooo terms, so the
+# hetero study sizes their platforms like any other mix and exits 0.
+./target/release/repro --scale quick hetero bundle:AELV alone:mcf > "$tmp/sugar.out" 2>/dev/null
+grep -q 'Heterogeneous-mix sweep' "$tmp/sugar.out"
+# A parallel app pins no core count, so the hetero platform has no
+# cores: every cell fails with a typed configuration error (exit 2).
+rc=0
+./target/release/repro --scale quick hetero parallel:swim > "$tmp/empty.out" 2>/dev/null || rc=$?
+if [ "$rc" -ne 2 ] || ! grep -q 'invalid configuration: empty agent mix' "$tmp/empty.out"; then
+  echo "mix sugar smoke: 'hetero parallel:swim' exited $rc, expected 2 with empty-mix failures:" >&2
+  cat "$tmp/empty.out" >&2
+  exit 1
+fi
 
 echo "== audit smoke test (--audit byte-identical, campaign 100% detection)"
 # An audited run must be silent and byte-identical to the unaudited

@@ -18,7 +18,7 @@ fn cfg(sched: SchedulerKind, seed_xor: u64, skip_ahead: bool) -> SystemConfig {
 }
 
 fn stats_bytes(c: SystemConfig, audit: bool, what: &str) -> Vec<u8> {
-    let out = Session::new(c, &AgentMix::Bundle("AELV"))
+    let out = Session::new(c, &AgentMix::bundle("AELV"))
         .audit(audit)
         .run()
         .unwrap_or_else(|e| panic!("{what}: clean run raised {e}"));

@@ -5,7 +5,7 @@
 //! warm-started sweeps.
 
 use critmem::config::{AgentMix, PredictorKind, SystemConfig};
-use critmem::experiments::{Runner, Scale};
+use critmem::experiments::{CellId, Runner, Scale};
 use critmem::{Checkpoint, RunStats, Session, System};
 use critmem_common::codec::ByteWriter;
 use critmem_common::SimError;
@@ -196,17 +196,19 @@ fn corrupt_checkpoint_files_yield_typed_errors() {
 
 /// A warm-started sweep fanned out across worker threads produces the
 /// same memoized results, cell for cell, as the same sweep run
-/// serially — and every non-sampling cell carries the `+warm` memo
-/// suffix so journals never mix warm and cold results.
+/// serially — and every non-sampling cell is memoized under its
+/// warm-started id, so journals never mix warm and cold results.
 #[test]
 fn warm_parallel_sweep_matches_serial() {
+    let scheds = [
+        SchedulerKind::FrFcfs,
+        SchedulerKind::CritCasRas,
+        SchedulerKind::CasRasCrit,
+    ];
+    let cbp = PredictorKind::cbp64(CbpMetric::MaxStallTime);
     let drive = |r: &mut Runner| {
-        for sched in [
-            SchedulerKind::FrFcfs,
-            SchedulerKind::CritCasRas,
-            SchedulerKind::CasRasCrit,
-        ] {
-            r.parallel("swim", sched, PredictorKind::cbp64(CbpMetric::MaxStallTime));
+        for sched in scheds {
+            r.parallel("swim", sched, cbp);
         }
     };
 
@@ -228,15 +230,28 @@ fn warm_parallel_sweep_matches_serial() {
     // 3 cells + 1 shared warmup on each arm.
     assert_eq!(serial.runs_executed(), 4);
     assert_eq!(pooled.runs_executed(), 4);
-    assert!(serial
-        .memo_snapshot()
+    let mut warm_ids: Vec<CellId> = scheds
         .iter()
-        .all(|(key, _)| key.contains("+warm2000")));
+        .map(|&sched| {
+            let cfg = serial
+                .parallel_cfg()
+                .with_scheduler(sched)
+                .with_predictor(cbp);
+            CellId::run(&cfg, &AgentMix::Parallel("swim"), Some(2_000))
+        })
+        .collect();
+    warm_ids.sort();
+    let ids: Vec<CellId> = serial
+        .memo_snapshot()
+        .into_iter()
+        .map(|(id, _)| id)
+        .collect();
+    assert_eq!(ids, warm_ids);
 }
 
 /// Warm and cold runs of the same cell must occupy different memo
-/// keys, and sampling cells always run cold (their series must cover
-/// the whole run, warmup included).
+/// entries, and sampling cells always run cold (their series must
+/// cover the whole run, warmup included).
 #[test]
 fn warm_memo_keys_never_collide_with_cold() {
     let cell = |r: &mut Runner| {
@@ -257,23 +272,31 @@ fn warm_memo_keys_never_collide_with_cold() {
     warm.warm_cycles = Some(1_000);
     cell(&mut warm);
 
-    let cold_keys: Vec<String> = cold.memo_snapshot().into_iter().map(|(k, _)| k).collect();
-    let warm_keys: Vec<String> = warm.memo_snapshot().into_iter().map(|(k, _)| k).collect();
-    assert!(cold_keys.iter().all(|k| !k.contains("+warm")));
-    // The plain cell is suffixed; the sampling cell stays on its cold
-    // key because it is excluded from warm starts.
+    let ids =
+        |r: &Runner| -> Vec<CellId> { r.memo_snapshot().into_iter().map(|(id, _)| id).collect() };
+    let wl = AgentMix::Parallel("swim");
+    let plain = cold.parallel_cfg();
+    let sampled = CellId::run(&plain.clone().with_sampling(1_000), &wl, None);
+    let sorted = |mut v: Vec<CellId>| {
+        v.sort();
+        v
+    };
     assert_eq!(
-        warm_keys.iter().filter(|k| k.contains("+warm1000")).count(),
-        1,
-        "keys: {warm_keys:?}"
+        ids(&cold),
+        sorted(vec![CellId::run(&plain, &wl, None), sampled.clone()])
     );
-    assert!(warm_keys
-        .iter()
-        .any(|k| k.contains("sampled") && !k.contains("+warm")));
-    // Warm and cold cells can share a journal without collisions.
-    assert!(cold_keys
-        .iter()
-        .all(|k| !warm_keys.contains(k) || k.contains("sampled")));
+    // The plain cell is warm-started; the sampling cell stays on its
+    // cold id because it is excluded from warm starts. So the only id
+    // a warm and a cold sweep share, in one journal, is that cell's.
+    assert_eq!(
+        ids(&warm),
+        sorted(vec![CellId::run(&plain, &wl, Some(1_000)), sampled.clone()])
+    );
+    let shared: Vec<CellId> = ids(&cold)
+        .into_iter()
+        .filter(|id| ids(&warm).contains(id))
+        .collect();
+    assert_eq!(shared, [sampled]);
 }
 
 /// The warm path's results equal the cold path's warmup-equivalent:

@@ -44,7 +44,7 @@ fn encode(stats: &RunStats) -> Vec<u8> {
 }
 
 fn bundle_stats(cfg: SystemConfig) -> RunStats {
-    Session::new(cfg, &AgentMix::Bundle(BUNDLE))
+    Session::new(cfg, &AgentMix::bundle(BUNDLE))
         .run()
         .expect("bundle run")
         .stats
@@ -63,7 +63,7 @@ fn alone_ipcs() -> Vec<f64> {
             cfg.cores = 1;
             cfg.hierarchy = critmem_cache::HierarchyConfig::paper_baseline(1);
             cfg.hierarchy.l2_mshrs = 32;
-            let stats = Session::new(cfg, &AgentMix::Alone(app))
+            let stats = Session::new(cfg, &AgentMix::alone(app))
                 .run()
                 .expect("alone run")
                 .stats;
@@ -106,7 +106,7 @@ fn metaswitch_switches_modes_under_bundle_load() {
 /// and blacklist state all ride inside the CMCK artifact).
 #[test]
 fn checkpoint_round_trip_is_bit_exact_across_a_mode_switch() {
-    let wl = AgentMix::Bundle(BUNDLE);
+    let wl = AgentMix::bundle(BUNDLE);
     let cfg = bundle_cfg()
         .with_scheduler(AGGRESSIVE_META)
         .with_predictor(PredictorKind::cbp64(CbpMetric::MaxStallTime));

@@ -36,7 +36,7 @@ fn wedged_cell_fails_alone_and_the_sweep_survives() {
     assert!(r.has_failures());
     assert_eq!(r.failures().len(), 1);
     let f = &r.failures()[0];
-    assert!(f.key.contains("Wedged"), "{}", f.key);
+    assert!(f.label.contains("Wedged"), "{}", f.label);
     assert!(matches!(f.error, SimError::Watchdog(_)), "{:?}", f.error);
     // The placeholder is memoized: re-requesting the failed cell must
     // not re-run the livelock (and must not duplicate the failure).
@@ -58,7 +58,7 @@ fn parallel_sweep_with_wedged_cell_matches_serial() {
                 r.parallel(app, SchedulerKind::Wedged, PredictorKind::None);
             }
         });
-        let failures: Vec<String> = r.failures().iter().map(|f| f.key.clone()).collect();
+        let failures: Vec<String> = r.failures().iter().map(|f| f.label.clone()).collect();
         (r.memo_snapshot(), failures)
     };
     let (snap_serial, fail_serial) = sweep(1);
@@ -110,7 +110,7 @@ fn failed_warmup_is_recorded_once_at_every_job_count() {
                 assert_eq!(stats.cycles, 1, "placeholder for the failed cell");
             }
         });
-        let mut failures: Vec<String> = r.failures().iter().map(|f| f.key.clone()).collect();
+        let mut failures: Vec<String> = r.failures().iter().map(|f| f.label.clone()).collect();
         assert_eq!(failures.len(), 3, "one warmup + two cells: {failures:?}");
         assert_eq!(
             failures.iter().filter(|k| k.starts_with("warmup:")).count(),

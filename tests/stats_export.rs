@@ -4,7 +4,7 @@
 //! and the empty-run denominator audit.
 
 use critmem::config::PredictorKind;
-use critmem::experiments::{stats_export, Runner, Scale};
+use critmem::experiments::{stats_export, CellId, Runner, Scale};
 use critmem::journal::{JournalEntry, SweepJournal};
 use critmem::{AgentMix, RunStats, SystemConfig};
 use critmem_common::codec::ByteWriter;
@@ -37,8 +37,9 @@ fn sampled_run_round_trips_through_the_journal() {
         .with_predictor(PredictorKind::cbp64(CbpMetric::MaxStallTime));
     cfg.cores = 2;
     cfg.hierarchy = critmem_cache::HierarchyConfig::paper_baseline(2);
+    let cfg = cfg.with_sampling(1_000);
+    let id = CellId::run(&cfg, &AgentMix::Parallel("swim"), None);
     let stats = critmem::Session::new(cfg, &AgentMix::Parallel("swim"))
-        .sampling(1_000)
         .run()
         .expect("sampled run")
         .stats;
@@ -50,14 +51,18 @@ fn sampled_run_round_trips_through_the_journal() {
         std::process::id()
     ));
     SweepJournal::create(&path)
-        .and_then(|mut j| j.append_run("swim|sampled", &stats))
+        .and_then(|mut j| j.append_run(&id, &stats))
         .expect("journal write");
     let (_, entries) = SweepJournal::resume(&path).expect("journal resume");
     std::fs::remove_file(&path).ok();
-    let [JournalEntry::Run { key, stats: got }] = &entries[..] else {
+    let [JournalEntry::Run {
+        id: got_id,
+        stats: got,
+    }] = &entries[..]
+    else {
         panic!("expected one run record, got {entries:?}");
     };
-    assert_eq!(key, "swim|sampled");
+    assert_eq!(got_id, &id);
     assert_eq!(got.series, stats.series);
     assert_eq!(encode(got), encode(&stats));
 }

@@ -110,7 +110,7 @@ fn all_bundles_run_end_to_end() {
     for b in critmem_workloads::BUNDLES {
         let mut cfg = SystemConfig::multiprogrammed_baseline(1_200);
         cfg.max_cycles = 200_000_000;
-        let stats = run(cfg, &AgentMix::Bundle(b.name));
+        let stats = run(cfg, &AgentMix::bundle(b.name));
         assert_eq!(stats.cores.len(), 4, "{}", b.name);
         for i in 0..4 {
             assert!(stats.ipc(i) > 0.0, "{} app {i}", b.name);
