@@ -148,11 +148,9 @@ impl FairnessFrontier {
 /// app on one core of the PAR-BS baseline platform with 32 L2 MSHRs
 /// (the paper's normalization denominator).
 pub(crate) fn alone_ipc(r: &mut Runner, app: &'static str) -> f64 {
-    let mut cfg = r.multiprog_cfg();
-    cfg.cores = 1;
-    cfg.hierarchy = critmem_cache::HierarchyConfig::paper_baseline(1);
-    cfg.hierarchy.l2_mshrs = 32;
-    let stats = r.run_keyed(format!("alone|{app}"), cfg, &AgentMix::alone(app));
+    let mix = AgentMix::alone(app);
+    let cfg = r.multiprog_cfg(&mix);
+    let stats = r.run_keyed(format!("alone|{app}"), cfg, &mix);
     stats.ipc(0)
 }
 
@@ -175,16 +173,13 @@ pub fn fairness_frontier(runner: &mut Runner) -> FairnessFrontier {
         for &bname in &bundles {
             let b = bundle(bname).expect("bundle exists");
             let alone: Vec<f64> = b.apps.iter().map(|&a| alone_ipc(r, a)).collect();
+            let mix = AgentMix::bundle(bname);
             for (si, (label, sched, pred)) in zoo.iter().enumerate() {
                 let cfg = r
-                    .multiprog_cfg()
+                    .multiprog_cfg(&mix)
                     .with_scheduler(*sched)
                     .with_predictor(*pred);
-                let stats = r.run_keyed(
-                    format!("bundle|{bname}|{label}"),
-                    cfg,
-                    &AgentMix::bundle(bname),
-                );
+                let stats = r.run_keyed(format!("bundle|{bname}|{label}"), cfg, &mix);
                 points[si]
                     .weighted_speedup
                     .push(weighted_speedup(&stats, &alone));

@@ -635,11 +635,22 @@ impl Runner {
         self.with_knobs(cfg, 20_000)
     }
 
-    /// Base configuration for a multiprogrammed run at this scale: the
-    /// Figure 12 platform (4 cores, 2 channels, PAR-BS baseline), which
-    /// the fairness frontier and the hetero study share.
-    pub fn multiprog_cfg(&self) -> SystemConfig {
-        let cfg = SystemConfig::multiprogrammed_baseline(self.scale.instructions);
+    /// Base configuration for a multiprogrammed run of `mix` at this
+    /// scale: the §5.8.2 Figure 12 platform (2 channels, 32 L2 MSHRs,
+    /// PAR-BS baseline) with one core per `ooo` agent of the mix. Every
+    /// Figure 12, fairness-frontier and hetero cell, and every alone
+    /// denominator, is built here. Streaming agents legitimately keep
+    /// rows open long enough to queue same-bank victims for hundreds of
+    /// thousands of cycles under FR-FCFS (that starvation is the
+    /// measured phenomenon, not a hang), so a mix with an
+    /// accelerator-class agent gets a much looser starved-request leash.
+    pub fn multiprog_cfg(&self, mix: &AgentMix) -> SystemConfig {
+        let mut cfg = SystemConfig::multiprogrammed_baseline(self.scale.instructions);
+        cfg.cores = mix.ooo_count().unwrap_or(0);
+        cfg.hierarchy.num_cores = cfg.cores;
+        if mix.agent_count() > 0 {
+            cfg.watchdog.max_request_age = 2_000_000;
+        }
         self.with_knobs(cfg, 40_000)
     }
 

@@ -18,7 +18,7 @@
 //! column holds the mix index), so the serialized bytes are identical
 //! for any `--jobs`, `--no-skip-ahead`, or `--audit` setting.
 
-use crate::config::{AgentMix, SystemConfig};
+use crate::config::AgentMix;
 use crate::experiments::fairness::{alone_ipc, frontier_schedulers};
 use crate::experiments::harness::{Runner, TextTable};
 use crate::metrics::mean;
@@ -130,21 +130,6 @@ impl HeteroStudy {
     }
 }
 
-/// The shared-platform configuration for a hetero mix: the Figure 12
-/// multiprogrammed memory system with the core count the mix pins.
-/// Streaming agents legitimately keep rows open long enough to queue
-/// same-bank victims for hundreds of thousands of cycles under
-/// FR-FCFS — that starvation is the measured phenomenon, not a hang —
-/// so the starved-request watchdog gets a much looser leash than the
-/// core-only default.
-fn hetero_cfg(r: &Runner, cores: usize) -> SystemConfig {
-    let mut cfg = r.multiprog_cfg();
-    cfg.cores = cores;
-    cfg.hierarchy = critmem_cache::HierarchyConfig::paper_baseline(cores);
-    cfg.watchdog.max_request_age = 2_000_000;
-    cfg
-}
-
 /// Expands a mix into its participants in system order: the OoO cores
 /// as `(app, qos_millis)` (core index order) and the accelerator
 /// agents as `(class, profile, qos_millis)` (agent index order).
@@ -177,7 +162,7 @@ fn participants(
 fn agent_alone_finish(r: &mut Runner, class: AgentClass, profile: &'static str) -> f64 {
     let term = format!("{}:{profile}", class.keyword());
     let mix: AgentMix = term.parse().expect("canonical term parses");
-    let cfg = hetero_cfg(r, 0);
+    let cfg = r.multiprog_cfg(&mix);
     let stats = r.run_keyed(format!("heteroalone|{term}"), cfg, &mix);
     stats.agents.first().map_or(1.0, |a| a.finish.max(1) as f64)
 }
@@ -206,7 +191,8 @@ pub fn hetero_study(runner: &mut Runner, mixes: &[(String, AgentMix)]) -> Hetero
                 .map(|&(class, profile, _)| agent_alone_finish(r, class, profile))
                 .collect();
             for (si, (label, sched, pred)) in zoo.iter().enumerate() {
-                let cfg = hetero_cfg(r, ooo.len())
+                let cfg = r
+                    .multiprog_cfg(mix)
                     .with_scheduler(*sched)
                     .with_predictor(*pred);
                 let stats = r.run_keyed(format!("hetero|{name}|{label}"), cfg, mix);
@@ -343,6 +329,39 @@ mod tests {
             assert_eq!(decoded, run.series);
             assert!(run.series.value(0, "hetero.weighted_speedup").is_some());
             assert!(run.series.value(0, "hetero.qos_violations").is_some());
+        }
+    }
+
+    /// A bundle is one mix on one platform: the hetero study of
+    /// `bundle:AELV` recalls the frontier's AELV cells instead of
+    /// simulating them again, and scores them alike.
+    #[test]
+    fn bundle_mix_matches_the_fairness_frontier() {
+        let mut r = Runner::new(Scale {
+            instructions: 1_200,
+            apps: vec![],
+            sweep_apps: vec![],
+            bundles: vec!["AELV"],
+        });
+        let frontier = crate::experiments::fairness_frontier(&mut r);
+        let runs = r.runs_executed();
+        let study = hetero_study(&mut r, &parse_mixes(&["bundle:AELV"]));
+        assert_eq!(r.runs_executed(), runs, "the hetero study re-ran a cell");
+        assert!(!r.has_failures(), "{:?}", r.failures());
+        for f in &frontier.points {
+            let h = study.point(f.label).expect("same zoo");
+            assert_eq!(
+                h.weighted_speedup[0].to_bits(),
+                f.weighted_speedup[0].to_bits(),
+                "{}",
+                f.label
+            );
+            assert_eq!(
+                h.ooo_max_slowdown[0].to_bits(),
+                f.max_slowdown[0].to_bits(),
+                "{}",
+                f.label
+            );
         }
     }
 

@@ -101,12 +101,12 @@ fn bundle_run(
     sched: SchedulerKind,
     pred: PredictorKind,
 ) -> Arc<crate::system::RunStats> {
-    let cfg = r.multiprog_cfg().with_scheduler(sched).with_predictor(pred);
-    r.run_keyed(
-        format!("bundle|{name}|{label}"),
-        cfg,
-        &AgentMix::bundle(name),
-    )
+    let mix = AgentMix::bundle(name);
+    let cfg = r
+        .multiprog_cfg(&mix)
+        .with_scheduler(sched)
+        .with_predictor(pred);
+    r.run_keyed(format!("bundle|{name}|{label}"), cfg, &mix)
 }
 
 /// Runs Figure 12 over the runner's bundles.
