@@ -622,70 +622,51 @@ fn static_bundle(name: &str) -> &'static str {
         })
 }
 
-fn fairness_main(args: Vec<String>, mut r: Runner) -> ! {
-    let mut bundles: Vec<&'static str> = Vec::new();
+/// `repro fairness [bundles...]` and `repro hetero [mixes...]`: the
+/// scheduler zoo over the named bundles or mixes (by default the
+/// scale's bundles or the standard hetero mixes), printed as a table,
+/// then exported.
+fn mix_study_main(args: Vec<String>, mut r: Runner, hetero: bool) -> ! {
+    let mut names = Vec::new();
     let mut export_flags = ExportFlags::default();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             flag @ ("--format" | "--out") => export_flags.set(flag, it.next()),
-            b => bundles.push(static_bundle(b)),
+            name => names.push(name.to_string()),
         }
     }
-    if !bundles.is_empty() {
-        r.scale.bundles = bundles;
-    }
-    let frontier = fairness_frontier(&mut r);
-    println!("{}", frontier.to_table());
-    let export = frontier.to_export();
-    export_flags.emit(
-        &r,
-        &export,
-        &format!(
-            "{} schedulers x {} bundles",
-            export.runs.len(),
-            frontier.bundles.len()
-        ),
-    );
-    finish(&r, false);
-}
-
-fn hetero_main(args: Vec<String>, mut r: Runner) -> ! {
-    let mut mixes: Vec<(String, AgentMix)> = Vec::new();
-    let mut export_flags = ExportFlags::default();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            flag @ ("--format" | "--out") => export_flags.set(flag, it.next()),
-            spec => {
-                // Grammar parse errors surface as typed
-                // SimError::UnknownWorkload (exit code 2).
+    let (study, noun) = if hetero {
+        if names.is_empty() {
+            names = experiments::default_mixes()
+                .into_iter()
+                .map(String::from)
+                .collect();
+        }
+        // Grammar parse errors surface as typed
+        // SimError::UnknownWorkload (exit code 2).
+        let mixes: Vec<(String, AgentMix)> = names
+            .iter()
+            .map(|spec| {
                 let mix: AgentMix = spec.parse().unwrap_or_else(|e| fail(e));
-                mixes.push((mix.to_string(), mix));
-            }
-        }
-    }
-    if mixes.is_empty() {
-        mixes = experiments::default_mixes()
-            .into_iter()
-            .map(|s| {
-                let mix: AgentMix = s.parse().expect("default mixes parse");
                 (mix.to_string(), mix)
             })
             .collect();
-    }
-    let study = hetero_study(&mut r, &mixes);
+        (hetero_study(&mut r, &mixes), "mixes")
+    } else {
+        if !names.is_empty() {
+            r.scale.bundles = names.iter().map(|b| static_bundle(b)).collect();
+        }
+        (fairness_frontier(&mut r), "bundles")
+    };
     println!("{}", study.to_table());
     let export = study.to_export();
-    export_flags.emit(
-        &r,
-        &export,
-        &format!(
-            "{} schedulers x {} mixes",
-            export.runs.len(),
-            study.mixes.len()
-        ),
+    let size = format!(
+        "{} schedulers x {} {noun}",
+        export.runs.len(),
+        study.mixes.len()
     );
+    export_flags.emit(&r, &export, &size);
     finish(&r, false);
 }
 
@@ -794,8 +775,8 @@ fn main() {
             Some("trace") => Some(trace_main),
             Some("stats") => Some(stats_main),
             Some("checkpoint") => Some(checkpoint_main),
-            Some("fairness") => Some(fairness_main),
-            Some("hetero") => Some(hetero_main),
+            Some("fairness") => Some(|args, r| mix_study_main(args, r, false)),
+            Some("hetero") => Some(|args, r| mix_study_main(args, r, true)),
             _ => None,
         };
     if let Some(main) = subcommand {

@@ -27,7 +27,7 @@ pub enum PredictorKind {
 
 impl PredictorKind {
     /// The paper's default 64-entry CBP with the given metric.
-    pub fn cbp64(metric: CbpMetric) -> Self {
+    pub const fn cbp64(metric: CbpMetric) -> Self {
         PredictorKind::Cbp {
             metric,
             size: TableSize::Entries(64),

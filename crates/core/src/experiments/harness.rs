@@ -401,7 +401,7 @@ impl Runner {
     fn store_placeholder(&mut self, job: &Job) {
         let placeholder = match &job.work {
             Work::Warmup { .. } => Memo::Warmup(None),
-            Work::Run { cfg, .. } => Memo::Run(Arc::new(RunStats {
+            Work::Run { cfg, workload } => Memo::Run(Arc::new(RunStats {
                 cycles: 1,
                 core_finish: vec![1; cfg.cores],
                 cores: vec![Default::default(); cfg.cores],
@@ -411,7 +411,7 @@ impl Runner {
                 instructions_per_core: cfg.instructions_per_core.max(1),
                 predictor_observed: vec![None; cfg.cores],
                 series: None,
-                agents: Vec::new(),
+                agents: vec![Default::default(); workload.agent_count()],
             })),
             Work::Capture { app, cfg } => Memo::Capture(Arc::new(Trace {
                 fingerprint: critmem_trace::Fingerprint::of(cfg.cores, cfg.cpu_mhz, &cfg.dram),
@@ -1013,11 +1013,13 @@ mod tests {
                 Work::Warmup { .. } | Work::Replay { .. } => {}
             }
         }
+        // Alone runs are `alone|{term}` (a core's app, an agent's
+        // class); shared multiprogrammed runs are `{mix}|{scheduler}`.
         for prefix in [
-            "alone|",
-            "bundle|",
-            "hetero|",
-            "heteroalone|",
+            "alone|ooo:",
+            "alone|stream",
+            "AELV|",
+            "ooo:mcf*2+stream*2|",
             "warmup:",
             "swim|",
         ] {

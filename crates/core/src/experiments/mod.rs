@@ -25,10 +25,10 @@ pub use audit::{
     Detection, FaultCampaign,
 };
 pub use compare::{fig10, fig11, Fig11};
-pub use fairness::{fairness_frontier, frontier_schedulers, FairnessFrontier, FrontierPoint};
+pub use fairness::{fairness_frontier, frontier_schedulers};
 pub use harness::{CellFailure, CellId, Runner, Scale, TextTable};
-pub use hetero::{default_mixes, hetero_study, HeteroPoint, HeteroStudy};
-pub use multiprog::{fig12, Fig12};
+pub use hetero::{default_mixes, hetero_study};
+pub use multiprog::{fig12, Fig12, MixPoint, MixStudy};
 pub use parallel_figs::{
     fig1, fig3, fig4, fig5, fig6, fig7, fig8, fig9, Fig1, Fig6, Fig8, Fig9, SpeedupFigure,
     SpeedupSeries,

@@ -81,13 +81,13 @@ pub fn weighted_speedup(shared: &RunStats, alone_ipc: &[f64]) -> f64 {
         .sum()
 }
 
-/// Maximum slowdown of a multiprogrammed run: `max_i IPC_alone / IPC_shared`
-/// — TCM's fairness metric.
+/// Per-application slowdowns of a multiprogrammed run:
+/// `IPC_alone_i / IPC_shared_i`, in core order.
 ///
 /// # Panics
 ///
 /// Panics if the lengths differ.
-pub fn max_slowdown(shared: &RunStats, alone_ipc: &[f64]) -> f64 {
+pub fn slowdowns(shared: &RunStats, alone_ipc: &[f64]) -> Vec<f64> {
     assert_eq!(
         shared.cores.len(),
         alone_ipc.len(),
@@ -95,29 +95,58 @@ pub fn max_slowdown(shared: &RunStats, alone_ipc: &[f64]) -> f64 {
     );
     (0..alone_ipc.len())
         .map(|i| alone_ipc[i] / shared.ipc(i))
-        .fold(0.0f64, f64::max)
+        .collect()
+}
+
+/// Per-agent slowdowns of a run with accelerator-class agents:
+/// `finish_shared_i / finish_alone_i`, in agent order. An agent has no
+/// IPC, so its slowdown compares the cycle at which it reached its
+/// fixed work-unit target beside the others with the cycle it reached
+/// it alone.
+///
+/// # Panics
+///
+/// Panics if the lengths differ.
+pub fn agent_slowdowns(shared: &RunStats, alone_finish: &[f64]) -> Vec<f64> {
+    assert_eq!(
+        shared.agents.len(),
+        alone_finish.len(),
+        "per-agent finish length mismatch"
+    );
+    shared
+        .agents
+        .iter()
+        .zip(alone_finish)
+        .map(|(a, &alone)| a.finish.max(1) as f64 / alone)
+        .collect()
+}
+
+/// Maximum slowdown of a multiprogrammed run: `max_i IPC_alone / IPC_shared`
+/// — TCM's fairness metric.
+///
+/// # Panics
+///
+/// Panics if the lengths differ.
+pub fn max_slowdown(shared: &RunStats, alone_ipc: &[f64]) -> f64 {
+    slowdowns(shared, alone_ipc).into_iter().fold(0.0, f64::max)
 }
 
 /// Harmonic speedup of a multiprogrammed run:
 /// `N / Σ_i IPC_alone_i / IPC_shared_i` (Luo, Gummaraju & Franklin) —
 /// the balanced performance–fairness metric: it rewards throughput but
 /// collapses toward the slowest application, so a run that sacrifices
-/// one application for the others scores poorly.
+/// one application for the others scores poorly. Zero for a run
+/// without applications (an agent-only mix).
 ///
 /// # Panics
 ///
-/// Panics if the lengths differ or the slice is empty.
+/// Panics if the lengths differ.
 pub fn harmonic_speedup(shared: &RunStats, alone_ipc: &[f64]) -> f64 {
-    assert_eq!(
-        shared.cores.len(),
-        alone_ipc.len(),
-        "per-app IPC length mismatch"
-    );
-    assert!(!alone_ipc.is_empty(), "harmonic speedup of zero apps");
-    let slowdown_sum: f64 = (0..alone_ipc.len())
-        .map(|i| alone_ipc[i] / shared.ipc(i))
-        .sum();
-    alone_ipc.len() as f64 / slowdown_sum
+    let slowdowns = slowdowns(shared, alone_ipc);
+    if slowdowns.is_empty() {
+        return 0.0;
+    }
+    slowdowns.len() as f64 / slowdowns.iter().sum::<f64>()
 }
 
 #[cfg(test)]
