@@ -301,7 +301,8 @@ fn trace_main(args: Vec<String>, mut r: Runner) -> ! {
             let app = static_app(args.get(1).map(String::as_str).unwrap_or("swim"));
             let sweep = trace_sweep(&mut r, app);
             println!("{}", sweep.to_table());
-            println!("{}", sweep.timing_summary());
+            // Host time: on stderr, so stdout stays reproducible.
+            eprintln!("{}", sweep.timing_summary());
             finish(&r, false);
         }
         _ => usage(),
@@ -906,7 +907,7 @@ fn main() {
         // time, so its wall-clock numbers stay meaningful.
         let sweep = trace_sweep(&mut r, "swim");
         println!("{}", sweep.to_table());
-        println!("{}", sweep.timing_summary());
+        eprintln!("{}", sweep.timing_summary());
     }
     finish(&r, true);
 }

@@ -58,7 +58,20 @@ pub struct Session<O: RequestObserver = ()> {
 }
 
 impl Session<()> {
-    /// Starts a session from a cold (cycle-zero) system.
+    /// Starts a session from a cold (cycle-zero) system running
+    /// `workload` — any agent mix, typically parsed from the grammar:
+    ///
+    /// ```
+    /// use critmem::{Session, SystemConfig, AgentMix};
+    ///
+    /// let mix: AgentMix = "ooo:mcf*2+stream:2".parse().unwrap();
+    /// let mut cfg = SystemConfig::multiprogrammed_baseline(500);
+    /// cfg.cores = 2;
+    /// cfg.hierarchy = critmem_cache::HierarchyConfig::paper_baseline(2);
+    /// cfg.max_cycles = 50_000_000;
+    /// let out = Session::new(cfg, &mix).run().unwrap();
+    /// assert_eq!(out.stats.agents.len(), 2);
+    /// ```
     pub fn new(cfg: SystemConfig, workload: &AgentMix) -> Self {
         Session {
             cfg,
@@ -112,29 +125,6 @@ impl<O: RequestObserver> Session<O> {
         self.observer(sink)
     }
 
-    /// Replaces the session's workload with `mix` — the entry point for
-    /// heterogeneous agent mixes, typically parsed from the grammar:
-    ///
-    /// ```
-    /// use critmem::{Session, SystemConfig, AgentMix};
-    ///
-    /// let mix: AgentMix = "ooo:mcf*2+stream:2".parse().unwrap();
-    /// let mut cfg = SystemConfig::multiprogrammed_baseline(500);
-    /// cfg.cores = 2;
-    /// cfg.hierarchy = critmem_cache::HierarchyConfig::paper_baseline(2);
-    /// cfg.max_cycles = 50_000_000;
-    /// let out = Session::new(cfg, &AgentMix::Parallel("swim"))
-    ///     .agents(&mix)
-    ///     .run()
-    ///     .unwrap();
-    /// assert_eq!(out.stats.agents.len(), 2);
-    /// ```
-    #[must_use]
-    pub fn agents(mut self, mix: &AgentMix) -> Self {
-        self.workload = mix.clone();
-        self
-    }
-
     /// Samples every registered metric each `epoch` CPU cycles into
     /// [`RunStats::series`]. Trace replay ([`crate::replay()`]) runs on
     /// the same system and sampler; its knob is
@@ -168,13 +158,6 @@ impl<O: RequestObserver> Session<O> {
     #[must_use]
     pub fn predictor(mut self, kind: PredictorKind) -> Self {
         self.cfg.predictor = kind;
-        self
-    }
-
-    /// Overrides the run's hard cycle budget.
-    #[must_use]
-    pub fn max_cycles(mut self, max_cycles: u64) -> Self {
-        self.cfg.max_cycles = max_cycles;
         self
     }
 

@@ -247,6 +247,13 @@ echo "== one multiprogrammed sweep (a bundle scores alike in fairness and hetero
   > /dev/null 2>&1
 diff <(tail -n +2 "$tmp/f.csv" | cut -d, -f1-4) <(tail -n +2 "$tmp/h.csv" | cut -d, -f1-4)
 
+echo "== tracesweep reproducibility (stdout holds no host time)"
+# The sweep's wall-clock line goes to stderr, so two runs print the
+# same stdout.
+./target/release/repro --scale quick --jobs 2 tracesweep > "$tmp/ts1.out" 2>/dev/null
+./target/release/repro --scale quick --jobs 2 tracesweep > "$tmp/ts2.out" 2>/dev/null
+cmp "$tmp/ts1.out" "$tmp/ts2.out"
+
 echo "== audit smoke test (--audit byte-identical, campaign 100% detection)"
 # An audited run must be silent and byte-identical to the unaudited
 # baseline; the scheduler certification and the fault-injection
