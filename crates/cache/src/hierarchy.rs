@@ -325,8 +325,14 @@ impl CacheHierarchy {
     /// or a merge onto a pending L2 line proceeds and a full L2 file
     /// bounces. A bounce is no access: it counts nothing, touches no
     /// LRU state and allocates no token.
+    ///
+    /// Only a full file bounces, so occupancy is read first: with
+    /// neither file full the access proceeds and no lookup runs.
     pub fn bounce(&self, core: CoreId, addr: PhysAddr) -> Option<Bounce> {
         let ci = core.index();
+        if !self.l1_mshr[ci].is_full() && !self.l2_mshr.is_full() {
+            return None;
+        }
         if self.l1d[ci].peek(addr).is_some() || self.l1_mshr[ci].pending(addr) {
             return None;
         }
@@ -1092,5 +1098,78 @@ mod tests {
         let id = first.id;
         h.unpop_request(first);
         assert_eq!(h.pop_request(50).unwrap().id, id);
+    }
+
+    /// The lookup-order predicate `bounce` answers, before occupancy was
+    /// read first.
+    fn reference_bounce(h: &CacheHierarchy, core: CoreId, addr: PhysAddr) -> Option<Bounce> {
+        let ci = core.index();
+        if h.l1d[ci].peek(addr).is_some() || h.l1_mshr[ci].pending(addr) {
+            return None;
+        }
+        if h.l1_mshr[ci].is_full() {
+            return Some(Bounce::L1);
+        }
+        let proceeds = h.l2.peek(addr).is_some() || h.l2_mshr.pending(addr) || !h.l2_mshr.is_full();
+        (!proceeds).then_some(Bounce::Shared)
+    }
+
+    /// Seeded random traffic on small caches and MSHR files, so that
+    /// either file, both or neither may be full: every reachable state
+    /// answers `bounce` exactly as the reference predicate does.
+    #[test]
+    fn occupancy_first_bounce_matches_the_reference() {
+        use critmem_common::rng::SmallRng;
+        let mut cfg = HierarchyConfig::paper_baseline(2);
+        cfg.l1_bytes = 512;
+        cfg.l1_mshrs = 3;
+        cfg.l2_bytes = 4096;
+        cfg.l2_mshrs = 4;
+        let mut h = CacheHierarchy::new(cfg);
+        let mut rng = SmallRng::seed_from_u64(0x424f_554e);
+        let mut in_flight: Vec<MemRequest> = Vec::new();
+        let mut seen = [[0u32; 3]; 4];
+        for now in 0..20_000u64 {
+            // Half the accesses reuse a small hot set (hits and merges),
+            // half roam a footprint sixteen times the L2 (new misses).
+            let addr = if rng.gen_bool(0.5) {
+                rng.gen_range(0..32) * 16
+            } else {
+                rng.gen_range(0..4096) * 16
+            };
+            let core = CoreId(rng.gen_range(0..2) as u8);
+            let full = usize::from(h.l1_mshr[core.index()].is_full())
+                + 2 * usize::from(h.l2_mshr.is_full());
+            let got = h.bounce(core, addr);
+            assert_eq!(got, reference_bounce(&h, core, addr), "cycle {now}");
+            seen[full][match got {
+                None => 0,
+                Some(Bounce::L1) => 1,
+                Some(Bounce::Shared) => 2,
+            }] += 1;
+            if rng.gen_bool(0.6) {
+                let kind = if rng.gen_bool(0.25) {
+                    CacheAccessKind::Store
+                } else {
+                    CacheAccessKind::Load
+                };
+                h.access(core, addr, kind, Criticality::non_critical(), now);
+            }
+            while let Some(req) = h.pop_request(now) {
+                if req.kind == AccessKind::Read {
+                    in_flight.push(req);
+                }
+            }
+            if !in_flight.is_empty() && rng.gen_bool(0.15) {
+                let i = rng.gen_range_usize(0..in_flight.len());
+                let req = in_flight.swap_remove(i);
+                h.dram_completed(&req, now);
+            }
+        }
+        // Every occupancy state was visited, and each full file
+        // answered with its own bounce as well as with a proceed.
+        assert!(seen.iter().all(|s| s.iter().sum::<u32>() > 0), "{seen:?}");
+        assert!(seen[1][1] > 0 && seen[1][0] > 0, "{seen:?}");
+        assert!(seen[2][2] > 0 && seen[2][0] > 0, "{seen:?}");
     }
 }

@@ -31,7 +31,6 @@ pub struct MshrTarget {
 
 #[derive(Debug, Clone)]
 struct Entry {
-    line_addr: PhysAddr,
     targets: Vec<MshrTarget>,
     /// Whether any merged target needs exclusive permission.
     wants_exclusive: bool,
@@ -52,6 +51,9 @@ struct Entry {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MshrFile {
+    /// Line address of each entry, index for index with `entries` (the
+    /// same pushes and `swap_remove`s), so a lookup scans 8-byte words.
+    lines: Vec<PhysAddr>,
     entries: Vec<Entry>,
     capacity: usize,
     line_bytes: u64,
@@ -76,6 +78,7 @@ impl MshrFile {
             "line size must be a power of two"
         );
         MshrFile {
+            lines: Vec::with_capacity(capacity),
             entries: Vec::with_capacity(capacity),
             capacity,
             line_bytes,
@@ -85,66 +88,75 @@ impl MshrFile {
         }
     }
 
+    /// Index of the entry for `addr`'s line, if one is outstanding.
     #[inline]
-    fn line(&self, addr: PhysAddr) -> PhysAddr {
-        addr & !(self.line_bytes - 1)
+    fn find(&self, addr: PhysAddr) -> Option<usize> {
+        let line = addr & !(self.line_bytes - 1);
+        self.lines.iter().position(|&l| l == line)
+    }
+
+    /// Allocates an entry for `addr`'s line, or counts a rejection when
+    /// the file is full.
+    fn allocate(&mut self, addr: PhysAddr, entry: Entry) -> MshrOutcome {
+        if self.is_full() {
+            self.rejections += 1;
+            return MshrOutcome::Full;
+        }
+        self.lines.push(addr & !(self.line_bytes - 1));
+        self.entries.push(entry);
+        self.peak = self.peak.max(self.entries.len());
+        MshrOutcome::NewMiss
     }
 
     /// Registers a missing access. See [`MshrOutcome`].
     pub fn register(&mut self, addr: PhysAddr, target: MshrTarget) -> MshrOutcome {
-        let line = self.line(addr);
-        if let Some(e) = self.entries.iter_mut().find(|e| e.line_addr == line) {
+        if let Some(i) = self.find(addr) {
+            let e = &mut self.entries[i];
             e.targets.push(target);
             e.wants_exclusive |= target.is_write;
             self.merges += 1;
             return MshrOutcome::Merged;
         }
-        if self.entries.len() == self.capacity {
-            self.rejections += 1;
-            return MshrOutcome::Full;
-        }
-        self.entries.push(Entry {
-            line_addr: line,
-            targets: vec![target],
-            wants_exclusive: target.is_write,
-        });
-        self.peak = self.peak.max(self.entries.len());
-        MshrOutcome::NewMiss
+        self.allocate(
+            addr,
+            Entry {
+                targets: vec![target],
+                wants_exclusive: target.is_write,
+            },
+        )
     }
 
     /// Registers a miss with no waiting target (prefetches).
     pub fn register_prefetch(&mut self, addr: PhysAddr) -> MshrOutcome {
-        let line = self.line(addr);
-        if self.entries.iter().any(|e| e.line_addr == line) {
+        if self.pending(addr) {
             return MshrOutcome::Merged;
         }
-        if self.entries.len() == self.capacity {
-            self.rejections += 1;
-            return MshrOutcome::Full;
-        }
-        self.entries.push(Entry {
-            line_addr: line,
-            targets: Vec::new(),
-            wants_exclusive: false,
-        });
-        self.peak = self.peak.max(self.entries.len());
-        MshrOutcome::NewMiss
+        self.allocate(
+            addr,
+            Entry {
+                targets: Vec::new(),
+                wants_exclusive: false,
+            },
+        )
     }
 
     /// Completes the fill for `addr`'s line: frees the entry and
     /// returns `(waiting targets, wants_exclusive)`. Returns `None` if
     /// no entry matches (e.g. a spurious completion).
     pub fn complete(&mut self, addr: PhysAddr) -> Option<(Vec<MshrTarget>, bool)> {
-        let line = self.line(addr);
-        let pos = self.entries.iter().position(|e| e.line_addr == line)?;
+        let pos = self.find(addr)?;
+        self.lines.swap_remove(pos);
         let e = self.entries.swap_remove(pos);
         Some((e.targets, e.wants_exclusive))
     }
 
     /// Whether an outstanding fill exists for `addr`'s line.
     pub fn pending(&self, addr: PhysAddr) -> bool {
-        let line = self.line(addr);
-        self.entries.iter().any(|e| e.line_addr == line)
+        let line = addr & !(self.line_bytes - 1);
+        // No early exit: a failed bounce asks about a line that is not
+        // pending, which scans every entry anyway, and the branch-free
+        // scan vectorizes.
+        self.lines.iter().fold(false, |hit, &l| hit | (l == line))
     }
 
     /// Current occupancy.
@@ -183,8 +195,8 @@ impl critmem_common::Snapshot for MshrFile {
     /// `swap_remove`), so entries are serialized verbatim.
     fn save_state(&self, w: &mut critmem_common::codec::ByteWriter) {
         w.put_u32(self.entries.len() as u32);
-        for e in &self.entries {
-            w.put_u64(e.line_addr);
+        for (&line_addr, e) in self.lines.iter().zip(&self.entries) {
+            w.put_u64(line_addr);
             w.put_u32(e.targets.len() as u32);
             for t in &e.targets {
                 w.put_u64(t.token);
@@ -211,6 +223,7 @@ impl critmem_common::Snapshot for MshrFile {
                 offset: r.position(),
             });
         }
+        self.lines.clear();
         self.entries.clear();
         for _ in 0..n {
             let line_addr = r.get_u64()?;
@@ -223,8 +236,8 @@ impl critmem_common::Snapshot for MshrFile {
                 })
                 .collect::<Result<_, critmem_common::codec::CodecError>>()?;
             let wants_exclusive = r.get_bool()?;
+            self.lines.push(line_addr);
             self.entries.push(Entry {
-                line_addr,
                 targets,
                 wants_exclusive,
             });
@@ -325,5 +338,81 @@ mod tests {
         m.complete(0x040);
         assert_eq!(m.peak(), 2);
         assert!(m.is_empty());
+    }
+
+    /// A seeded mix of registers, merges, prefetches, completions and
+    /// snapshot round trips, checked after every operation against a
+    /// model that keeps each line beside its entry: the line array must
+    /// stay index for index with the entries.
+    #[test]
+    fn line_array_mirrors_entries() {
+        use critmem_common::codec::{ByteReader, ByteWriter};
+        use critmem_common::rng::SmallRng;
+        use critmem_common::Snapshot;
+        type Model = Vec<(PhysAddr, Vec<MshrTarget>, bool)>;
+        let mut rng = SmallRng::seed_from_u64(0x4d53_4852);
+        let mut m = MshrFile::new(6, 64);
+        let mut model: Model = Vec::new();
+        let mut token = 0;
+        for step in 0..20_000 {
+            // Twelve lines against six entries keep the file full often.
+            let addr = rng.gen_range(0..12) * 64 + rng.gen_range(0..64);
+            let line = addr & !63;
+            let at = model.iter().position(|e| e.0 == line);
+            match rng.gen_range(0..5) {
+                0 | 1 => {
+                    token += 1;
+                    let target = MshrTarget {
+                        token,
+                        is_write: rng.gen_bool(0.3),
+                    };
+                    let want = match at {
+                        Some(i) => {
+                            model[i].1.push(target);
+                            model[i].2 |= target.is_write;
+                            MshrOutcome::Merged
+                        }
+                        None if model.len() == 6 => MshrOutcome::Full,
+                        None => {
+                            model.push((line, vec![target], target.is_write));
+                            MshrOutcome::NewMiss
+                        }
+                    };
+                    assert_eq!(m.register(addr, target), want, "step {step}");
+                }
+                2 => {
+                    let want = match at {
+                        Some(_) => MshrOutcome::Merged,
+                        None if model.len() == 6 => MshrOutcome::Full,
+                        None => {
+                            model.push((line, Vec::new(), false));
+                            MshrOutcome::NewMiss
+                        }
+                    };
+                    assert_eq!(m.register_prefetch(addr), want, "step {step}");
+                }
+                3 => {
+                    let want = at.map(|i| {
+                        let (_, targets, excl) = model.swap_remove(i);
+                        (targets, excl)
+                    });
+                    assert_eq!(m.complete(addr), want, "step {step}");
+                }
+                _ => {
+                    let mut w = ByteWriter::new();
+                    m.save_state(&mut w);
+                    let bytes = w.into_bytes();
+                    let mut fresh = MshrFile::new(6, 64);
+                    fresh.load_state(&mut ByteReader::new(&bytes)).unwrap();
+                    m = fresh;
+                }
+            }
+            let lines: Vec<PhysAddr> = model.iter().map(|e| e.0).collect();
+            assert_eq!(m.lines, lines, "step {step}");
+            assert_eq!(m.entries.len(), model.len(), "step {step}");
+            for (e, (_, targets, excl)) in m.entries.iter().zip(&model) {
+                assert_eq!((&e.targets, e.wants_exclusive), (targets, *excl));
+            }
+        }
     }
 }

@@ -162,6 +162,7 @@ mod tests {
         assert_eq!(read(&trace.to_bytes().unwrap()), trace);
         assert_eq!(read(abandoned.get_ref()), trace);
 
+        // The two trace pins are CMTR version 3, with the header CRC.
         let crcs = [
             crc32::checksum(&Checkpoint::sample().to_bytes()),
             crc32::checksum(&profile.to_bytes()),
@@ -175,8 +176,8 @@ mod tests {
                 0xECF3_1881,
                 0x48BF_3C33,
                 0x57C2_0373,
-                0x470B_05F7,
-                0x2ECC_2BF1
+                0xF150_7F18,
+                0x5F12_F138
             ],
             "{crcs:#010X?}"
         );

@@ -14,7 +14,7 @@ use critmem_common::{
 };
 use critmem_cpu::{
     AgentClass, AgentStats, CbpPredictor, ClptPredictor, Core, CoreStats, InstrSource,
-    LoadCriticalityPredictor, MemoryAgent, NoPredictor, StepEvents,
+    LoadCriticalityPredictor, MemoryAgent, NoPredictor,
 };
 use critmem_dram::{ChannelStats, DramSystem};
 use critmem_predict::{Clpt, CommitBlockPredictor};
@@ -305,10 +305,19 @@ pub struct System<O: RequestObserver = ()> {
     /// sleeps on a bounce), and by any fill at all to the next cycle
     /// while it sleeps on a bounce off the shared L2 MSHR file. Under
     /// [`SystemConfig::skip_ahead`] a core is stepped only once `now`
-    /// reaches its entry. Engine state, not platform state: never
-    /// serialized, reset to 0 (wake everyone) whenever a core changes
-    /// from outside the run loop.
+    /// reaches its entry; until then it is not touched at all, and
+    /// `settled` says how far its stall counters are current. Engine
+    /// state, not platform state: never serialized, reset to 0 (wake
+    /// everyone) whenever a core changes from outside the run loop.
     wake: Vec<CpuCycle>,
+    /// Per-core settle table: entry `i` is the last cycle whose stall
+    /// counters (core `i`'s and its LQ-full count) are current. A
+    /// sleeping core is not touched at all; [`settle`] replays its
+    /// whole sleep in one [`Core::skip`] before its next step and
+    /// before every reader (sampler, end of [`Self::drive`],
+    /// [`Self::reconfigure`], [`Self::finish`]). Engine state, like
+    /// `wake`: never serialized, reset to `now` by a restore.
+    settled: Vec<CpuCycle>,
     /// `Core::step` calls made since construction (inspection hook).
     core_steps: u64,
     /// Pending §5.1 forwarding messages. `forward_latency` is constant,
@@ -362,6 +371,21 @@ impl<O: RequestObserver> std::fmt::Debug for System<O> {
             .field("now", &self.now)
             .field("cores", &self.cores.len())
             .finish_non_exhaustive()
+    }
+}
+
+/// Replays a sleeping core's stall counters from `*settled` up to cycle
+/// `upto` in one [`Core::skip`]. A sleeping core is quiescent, so its
+/// stall state is frozen: each slept cycle counts alike, and its LQ
+/// occupancy either fills every one of them or none.
+fn settle(core: &mut Core, settled: &mut CpuCycle, lq_full_cycles: &mut u64, upto: CpuCycle) {
+    let n = upto - *settled;
+    if n > 0 {
+        core.skip(*settled, n);
+        if core.lq_full() {
+            *lq_full_cycles += n;
+        }
+        *settled = upto;
     }
 }
 
@@ -585,6 +609,7 @@ impl<O: RequestObserver> System<O> {
             core_finish: vec![None; cfg.cores],
             lq_full_cycles: vec![0; cfg.cores],
             wake: vec![0; cfg.cores],
+            settled: vec![0; cfg.cores],
             core_steps: 0,
             forwards: VecDeque::new(),
             sampler,
@@ -746,7 +771,9 @@ impl<O: RequestObserver> System<O> {
         self.now
     }
 
-    /// Advances one CPU cycle.
+    /// Advances one CPU cycle. Under skip-ahead a sleeping core is not
+    /// touched; its stall counters are settled before its next step and
+    /// before anything reads them.
     pub fn step(&mut self) {
         self.now += 1;
         let now = self.now;
@@ -755,25 +782,28 @@ impl<O: RequestObserver> System<O> {
         // low-numbered cores. A core-less system has no hierarchy.
         // Under skip-ahead a core whose wake cycle lies ahead sleeps:
         // its `wake_cycle` promise says this step would only bump
-        // stall counters, so `Core::skip` bumps them instead, eagerly,
-        // and every reader sees them current. A quiescent core touches
-        // the hierarchy at most with a bounce, which changes nothing,
-        // so the others race for it unchanged.
+        // stall counters, which stay frozen until `settle` replays them
+        // in one go. A quiescent core touches the hierarchy at most
+        // with a bounce, which changes nothing, so the others race for
+        // it unchanged.
         if let Some(hierarchy) = &mut self.hierarchy {
             let n = self.cores.len();
             let start = (now as usize) % n;
-            for k in 0..n {
-                let i = (start + k) % n;
+            for i in (start..n).chain(0..start) {
+                if self.cfg.skip_ahead && now < self.wake[i] {
+                    continue;
+                }
                 let core = &mut self.cores[i];
-                let events = if self.cfg.skip_ahead && now < self.wake[i] {
-                    core.skip(now - 1, 1);
-                    StepEvents::default()
-                } else {
-                    self.core_steps += 1;
-                    let events = core.step(now, self.sources[i].as_mut(), hierarchy);
-                    self.wake[i] = core.wake_cycle(now);
-                    events
-                };
+                settle(
+                    core,
+                    &mut self.settled[i],
+                    &mut self.lq_full_cycles[i],
+                    now - 1,
+                );
+                self.core_steps += 1;
+                let events = core.step(now, self.sources[i].as_mut(), hierarchy);
+                self.wake[i] = core.wake_cycle(now);
+                self.settled[i] = now;
                 if core.lq_full() {
                     self.lq_full_cycles[i] += 1;
                 }
@@ -872,15 +902,25 @@ impl<O: RequestObserver> System<O> {
             }
         }
         // 5. Epoch sampling (pull-based: reads the counters the
-        // components already maintain; nothing runs when disabled).
-        if let Some(sampler) = &mut self.sampler {
-            if sampler.due(now) {
-                let (cores, agents, dram) = (&self.cores, &self.agents, &self.dram);
-                let hierarchy = self.hierarchy.as_ref();
-                sampler.sample(now, |v| {
-                    observe_components(cores, agents, hierarchy, dram, v)
-                });
-            }
+        // components already maintain, sleeping cores' settled first;
+        // nothing runs when disabled).
+        if self.sampler.as_ref().is_some_and(|s| s.due(now)) {
+            self.settle_all();
+            let (cores, agents, dram) = (&self.cores, &self.agents, &self.dram);
+            let hierarchy = self.hierarchy.as_ref();
+            let sampler = self.sampler.as_mut().expect("checked above");
+            sampler.sample(now, |v| {
+                observe_components(cores, agents, hierarchy, dram, v)
+            });
+        }
+    }
+
+    /// Brings every core's stall counters up to `now` ([`settle`]).
+    fn settle_all(&mut self) {
+        let now = self.now;
+        let rows = self.cores.iter_mut().zip(&mut self.settled);
+        for ((core, settled), lq_full) in rows.zip(&mut self.lq_full_cycles) {
+            settle(core, settled, lq_full, now);
         }
     }
 
@@ -1001,24 +1041,15 @@ impl<O: RequestObserver> System<O> {
 
     /// Batch-advances the clock across `n` cycles that
     /// [`Self::idle_horizon`] proved quiescent, replaying exactly the
-    /// bookkeeping [`Self::step`] would have accumulated: per-core
-    /// stall counters ([`Core::skip`]), the system's LQ-full counter,
-    /// the clock divider (whose bus ticks in the window are all empty
-    /// controller cycles, applied in closed form via
-    /// [`DramSystem::skip`]), and `now` itself. No commits, deliveries,
-    /// enqueues, completions, or samples can occur in the window, so
-    /// nothing else changes — the wake table included, since every
-    /// entry lies at or past the horizon.
+    /// bookkeeping [`Self::step`] would have accumulated: the clock
+    /// divider (whose bus ticks in the window are all empty controller
+    /// cycles, applied in closed form via [`DramSystem::skip`]) and
+    /// `now` itself. Every core sleeps through the window, so its stall
+    /// counters wait for [`settle`] like any other sleep. No commits,
+    /// deliveries, enqueues, completions, or samples can occur in the
+    /// window, so nothing else changes — the wake table included, since
+    /// every entry lies at or past the horizon.
     fn skip(&mut self, n: u64) {
-        let now = self.now;
-        for (i, core) in self.cores.iter_mut().enumerate() {
-            core.skip(now, n);
-            // The LQ occupancy is frozen while the core is quiescent,
-            // so either every skipped cycle counts or none does.
-            if core.lq_full() {
-                self.lq_full_cycles[i] += n;
-            }
-        }
         let d = self.divider.advance(n);
         if d > 0 {
             self.dram.skip(d);
@@ -1144,6 +1175,9 @@ impl<O: RequestObserver> System<O> {
                 }
             }
         }
+        // A stop boundary may be saved as a checkpoint: leave every
+        // counter current.
+        self.settle_all();
         // End-of-run audit reconciliation, only at a true finish (this
         // method also drives to intermediate checkpoint boundaries).
         if self.done() {
@@ -1182,6 +1216,7 @@ impl<O: RequestObserver> System<O> {
         scheduler: critmem_sched::SchedulerKind,
         predictor: PredictorKind,
     ) {
+        self.settle_all();
         self.cfg.scheduler = scheduler;
         self.cfg.predictor = predictor;
         let num_threads = self.cfg.cores + self.agent_of_thread.len();
@@ -1294,6 +1329,8 @@ impl<O: RequestObserver> System<O> {
         self.dram.load_state(r, load_schedulers)?;
         self.divider.load_state(r)?;
         self.now = r.get_u64()?;
+        // The saved counters are current at the saved cycle.
+        self.settled.fill(self.now);
         for f in &mut self.core_finish {
             *f = if r.get_bool()? {
                 Some(r.get_u64()?)
@@ -1368,6 +1405,7 @@ impl<O: RequestObserver> System<O> {
 
     /// Finalizes statistics and hands back the observer and the agents.
     pub(crate) fn finish(mut self) -> (RunStats, O, Vec<Box<dyn MemoryAgent>>) {
+        self.settle_all();
         // Close the series with an end-of-run sample so the final
         // counter values are always present, even mid-epoch.
         let series = self.sampler.take().map(|mut sampler| {

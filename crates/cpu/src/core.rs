@@ -688,12 +688,14 @@ impl Core {
     /// replaying exactly the per-cycle counters a serial run of
     /// `step(now + 1) .. step(now + n)` would have accumulated.
     ///
-    /// Two callers rely on it: the system-wide skip-ahead, which jumps
-    /// every core across a window at once, and per-core sleep, which
-    /// calls `skip(c - 1, 1)` on each cycle `c` that one core spends
-    /// below its own horizon ([`Core::quiescent_until`] or
-    /// [`Core::wake_cycle`]) while the others step. A core asleep on a
-    /// bounce needs nothing more: retrying a bounce counts nothing.
+    /// A system that lets a core sleep below its own horizon
+    /// ([`Core::quiescent_until`] or [`Core::wake_cycle`]) while the
+    /// others step, and across system-wide skip-ahead windows, replays
+    /// the whole sleep in one call before the core's next step or any
+    /// read of its counters: the stall state it reads is frozen while
+    /// the core is quiescent, and a fill (`mem_completed`) does not
+    /// touch it. A core asleep on a bounce needs nothing more: retrying
+    /// a bounce counts nothing.
     pub fn skip(&mut self, now: CpuCycle, n: u64) {
         self.stats.cycles += n;
         if let Some(head) = self.rob.front() {

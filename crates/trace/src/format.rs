@@ -6,7 +6,7 @@
 //! ```text
 //! header:
 //!   magic            4  b"CMTR"
-//!   version          2  format version (currently 1)
+//!   version          2  format version (currently 3)
 //!   -- capture fingerprint --
 //!   cores            2
 //!   cpu_mhz          8
@@ -21,6 +21,8 @@
 //!   -- provenance --
 //!   source           2 + n  length-prefixed UTF-8 (workload label)
 //!   record_count     8  u64::MAX while streaming; patched on finish
+//!   header_crc       4  CRC-32 of magic through record_count (version
+//!                       3); patched with the count on finish
 //! record (42 bytes, repeated record_count times):
 //!   enqueue_cycle    8  CPU cycle of successful DRAM enqueue
 //!   issued_at        8  CPU cycle the miss left the L2 (MSHR allocation)
@@ -47,11 +49,16 @@
 //! reached) is likewise reported as `Corrupt`; a stream abandoned
 //! without [`TraceWriter::finish`] still reads to EOF, with only its
 //! final partial chunk unverified, and a torn last record is `Corrupt`
-//! too. [`TraceWriter`] is the one writer of this layout and
+//! too.
+//!
+//! Version 3 adds the header CRC, so a flipped bit in the fingerprint
+//! (a clock rate, say, which would silently retime a replay) is
+//! `Corrupt` too. The reader still accepts version 2, whose header has
+//! no CRC. [`TraceWriter`] is the one writer of this layout and
 //! [`TraceStream`] its one reader; [`Trace::read_from`] drains a stream.
 
 use crate::stream::TraceStream;
-use critmem_common::crc32::Crc32;
+use critmem_common::crc32::{self, Crc32};
 use critmem_common::{AccessKind, CoreId, CpuCycle, Criticality, MemRequest, PhysAddr, ReqId};
 use critmem_dram::{DramConfig, Interleaving};
 use std::fmt;
@@ -59,8 +66,10 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 
 /// Format magic: "CritMem TRace".
 pub const MAGIC: [u8; 4] = *b"CMTR";
-/// Current format version.
-pub const VERSION: u16 = 2;
+/// Current format version, the one [`TraceWriter`] writes.
+pub const VERSION: u16 = 3;
+/// Oldest version [`TraceStream`] still reads (no header CRC).
+pub const MIN_VERSION: u16 = 2;
 /// `record_count` placeholder while a stream is still being written.
 pub(crate) const COUNT_STREAMING: u64 = u64::MAX;
 /// Encoded size of one record in bytes.
@@ -92,7 +101,7 @@ impl fmt::Display for TraceError {
             TraceError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "unsupported trace version {v} (reader supports {VERSION})"
+                    "unsupported trace version {v} (reader supports {MIN_VERSION} to {VERSION})"
                 )
             }
             TraceError::Corrupt(msg) => write!(f, "corrupt trace: {msg}"),
@@ -362,11 +371,14 @@ impl TraceRecord {
 ///
 /// Writes the header immediately with a placeholder record count, then
 /// records one at a time; [`TraceWriter::finish`] seeks back and patches
-/// the count. A stream abandoned without `finish` is still readable —
-/// the reader treats the placeholder as "read until EOF".
+/// the count and the header CRC. A stream abandoned without `finish` is
+/// still readable — the reader treats the placeholder as "read until
+/// EOF", and the header CRC covers the placeholder.
 pub struct TraceWriter<W: Write + Seek> {
     pub(crate) w: W,
     count: u64,
+    /// Magic through `record_count`, kept to re-seal the header CRC.
+    header: Vec<u8>,
     count_offset: u64,
     chunk_crc: Crc32,
     in_chunk: usize,
@@ -379,15 +391,18 @@ impl<W: Write + Seek> TraceWriter<W> {
     ///
     /// Propagates I/O failures.
     pub fn new(mut w: W, fingerprint: &Fingerprint, source: &str) -> Result<Self, TraceError> {
-        w.write_all(&MAGIC)?;
-        w.write_all(&VERSION.to_le_bytes())?;
-        fingerprint.write_to(&mut w)?;
-        write_string(&mut w, source)?;
-        let count_offset = w.stream_position()?;
-        w.write_all(&COUNT_STREAMING.to_le_bytes())?;
+        let mut header = MAGIC.to_vec();
+        header.extend_from_slice(&VERSION.to_le_bytes());
+        fingerprint.write_to(&mut header)?;
+        write_string(&mut header, source)?;
+        header.extend_from_slice(&COUNT_STREAMING.to_le_bytes());
+        let count_offset = w.stream_position()? + header.len() as u64 - 8;
+        w.write_all(&header)?;
+        w.write_all(&crc32::checksum(&header).to_le_bytes())?;
         Ok(TraceWriter {
             w,
             count: 0,
+            header,
             count_offset,
             chunk_crc: Crc32::new(),
             in_chunk: 0,
@@ -425,8 +440,8 @@ impl<W: Write + Seek> TraceWriter<W> {
     }
 
     /// Seals the final partial chunk's CRC, patches the record count
-    /// into the header, and returns the inner writer (positioned at end
-    /// of stream).
+    /// and the header CRC, and returns the inner writer (positioned at
+    /// end of stream).
     ///
     /// # Errors
     ///
@@ -435,8 +450,13 @@ impl<W: Write + Seek> TraceWriter<W> {
         if self.in_chunk > 0 {
             self.flush_chunk_crc()?;
         }
+        let count = self.count.to_le_bytes();
+        let at = self.header.len() - 8;
+        self.header[at..].copy_from_slice(&count);
         self.w.seek(SeekFrom::Start(self.count_offset))?;
-        self.w.write_all(&self.count.to_le_bytes())?;
+        self.w.write_all(&count)?;
+        self.w
+            .write_all(&crc32::checksum(&self.header).to_le_bytes())?;
         self.w.seek(SeekFrom::End(0))?;
         self.w.flush()?;
         Ok(self.w)
@@ -647,6 +667,52 @@ mod tests {
                 assert!(err.to_string().contains("truncated"), "cut {cut}: {err}");
             }
         }
+    }
+
+    /// Length of `sample_trace("x")`'s header, magic through the header
+    /// CRC: a finished trace with no records is exactly its header.
+    fn header_len() -> usize {
+        Trace {
+            records: vec![],
+            ..sample_trace("x")
+        }
+        .to_bytes()
+        .unwrap()
+        .len()
+    }
+
+    #[test]
+    fn every_header_bit_flip_is_detected() {
+        let clean = sample_trace("x").to_bytes().unwrap();
+        for offset in 0..header_len() {
+            for bit in 0..8 {
+                let mut bytes = clean.clone();
+                bytes[offset] ^= 1 << bit;
+                let err = Trace::read_from(Cursor::new(&bytes)).unwrap_err();
+                // The magic and the version name their own errors; a
+                // version flipped to 2 reads on and fails at a chunk.
+                let typed = match offset {
+                    0..4 => matches!(err, TraceError::BadMagic),
+                    4..6 => matches!(
+                        err,
+                        TraceError::UnsupportedVersion(_) | TraceError::Corrupt(_)
+                    ),
+                    _ => matches!(err, TraceError::Corrupt(_)),
+                };
+                assert!(typed, "byte {offset} bit {bit}: {err:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn version_2_stream_still_reads() {
+        // Version 2 is version 3 without the header CRC.
+        let trace = sample_trace("x");
+        let v3 = trace.to_bytes().unwrap();
+        let crc_at = header_len() - 4;
+        let mut v2 = [&v3[..crc_at], &v3[crc_at + 4..]].concat();
+        v2[4..6].copy_from_slice(&2u16.to_le_bytes());
+        assert_eq!(Trace::read_from(Cursor::new(&v2)).unwrap(), trace);
     }
 
     #[test]

@@ -37,9 +37,9 @@
 
 use crate::format::{
     read_array, read_string, Fingerprint, Trace, TraceError, TraceRecord, CHUNK_RECORDS,
-    COUNT_STREAMING, MAGIC, RECORD_BYTES, VERSION,
+    COUNT_STREAMING, MAGIC, MIN_VERSION, RECORD_BYTES, VERSION,
 };
-use critmem_common::crc32;
+use critmem_common::crc32::{self, Crc32};
 use std::fs::File;
 use std::io::{BufReader, Read};
 use std::path::Path;
@@ -147,22 +147,37 @@ impl TraceStream<BufReader<File>> {
 
 impl<R: Read> TraceStream<R> {
     /// Parses the header (magic, version, fingerprint, source label
-    /// and record count) and prepares the chunk buffer.
+    /// and record count), verifies its CRC (version 3), and prepares the
+    /// chunk buffer.
     ///
     /// # Errors
     ///
-    /// Fails on bad magic, unsupported version, or I/O errors.
+    /// Fails on bad magic, unsupported version, a header checksum
+    /// mismatch ([`TraceError::Corrupt`]), or I/O errors.
     pub fn new(mut r: R) -> Result<Self, TraceError> {
-        if read_array(&mut r)? != MAGIC {
+        let mut h = HeaderReader {
+            r: &mut r,
+            crc: Crc32::new(),
+        };
+        if read_array(&mut h)? != MAGIC {
             return Err(TraceError::BadMagic);
         }
-        let version = u16::from_le_bytes(read_array(&mut r)?);
-        if version != VERSION {
+        let version = u16::from_le_bytes(read_array(&mut h)?);
+        if !(MIN_VERSION..=VERSION).contains(&version) {
             return Err(TraceError::UnsupportedVersion(version));
         }
-        let fingerprint = Fingerprint::read_from(&mut r)?;
-        let source = read_string(&mut r)?;
-        let count = u64::from_le_bytes(read_array(&mut r)?);
+        let fingerprint = Fingerprint::read_from(&mut h)?;
+        let source = read_string(&mut h)?;
+        let count = u64::from_le_bytes(read_array(&mut h)?);
+        let computed = h.crc.finish();
+        if version >= 3 {
+            let stored = u32::from_le_bytes(read_array(&mut r)?);
+            if stored != computed {
+                return Err(TraceError::Corrupt(format!(
+                    "header checksum mismatch (stored {stored:#010X}, computed {computed:#010X})"
+                )));
+            }
+        }
         Ok(TraceStream {
             r,
             fingerprint,
@@ -283,6 +298,21 @@ impl<R: Read> TraceStream<R> {
         self.next_rec += 1;
         self.records_read += 1;
         Ok(Some(rec))
+    }
+}
+
+/// Reads the header through to its reader, folding every byte into the
+/// header CRC.
+struct HeaderReader<'a, R: Read> {
+    r: &'a mut R,
+    crc: Crc32,
+}
+
+impl<R: Read> Read for HeaderReader<'_, R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.r.read(buf)?;
+        self.crc.update(&buf[..n]);
+        Ok(n)
     }
 }
 

@@ -90,6 +90,17 @@ echo "== checkpoint warm-start smoke test"
 ./target/release/repro --scale quick --jobs 2 --warm-cycles 20000 fig10 > "$tmp/fig10.warm2" 2>/dev/null
 diff "$tmp/fig10.warm1" "$tmp/fig10.warm2"
 
+echo "== checkpoint kernel smoke test (a save is byte-identical under --no-skip-ahead)"
+# Radix on the 8-core baseline has cores asleep at each boundary; the
+# skip kernel settles their stall counters before the save reads them.
+for cycles in 20000 33333; do
+  ./target/release/repro --scale quick checkpoint save radix "$tmp/radix.cmck" \
+    --cycles "$cycles" > /dev/null
+  ./target/release/repro --scale quick --no-skip-ahead checkpoint save radix \
+    "$tmp/radix.noskip.cmck" --cycles "$cycles" > /dev/null
+  cmp "$tmp/radix.cmck" "$tmp/radix.noskip.cmck"
+done
+
 echo "== torn artifact smoke test (typed errors, exit 1, never a panic)"
 # Cut 3 bytes off the trace, checkpoint and profile written above:
 # each decoder must name the damage and exit 1 (a panic exits 101).

@@ -354,3 +354,34 @@ fn sampled_restore_under_another_predictor_is_refused() {
         }
     }
 }
+
+/// A checkpoint saved at a stop boundary reads every core's stall
+/// counters, including those of cores asleep at that cycle, whose
+/// counters the skip kernel settles only when something reads them. On
+/// the 8-core paper baseline under CASRAS-Crit and a CBP, radix keeps
+/// most cores asleep, so the saved bytes must not depend on the kernel
+/// at any boundary.
+#[test]
+fn checkpoint_bytes_do_not_depend_on_skip_ahead() {
+    let wl = AgentMix::Parallel("radix");
+    let mut cfg = SystemConfig::paper_baseline(1_000)
+        .with_scheduler(SchedulerKind::CasRasCrit)
+        .with_predictor(PredictorKind::cbp64(CbpMetric::MaxStallTime));
+    cfg.max_cycles = 50_000_000;
+    for boundary in [2_001, 7_777, 12_345, 20_000] {
+        let save = |skip_ahead: bool| {
+            let mut cfg = cfg.clone();
+            cfg.skip_ahead = skip_ahead;
+            Session::new(cfg, &wl)
+                .checkpoint_at(boundary)
+                .run_to_checkpoint()
+                .unwrap_or_else(|e| panic!("boundary {boundary}: {e}"))
+        };
+        let (skip, serial) = (save(true), save(false));
+        assert_eq!(skip.cycle(), boundary, "the run ended before the boundary");
+        assert!(
+            skip.to_bytes() == serial.to_bytes(),
+            "boundary {boundary}: the skip kernel saved other bytes"
+        );
+    }
+}
